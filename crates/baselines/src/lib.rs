@@ -1,9 +1,9 @@
 //! # vrdag-baselines
 //!
 //! Mechanism-level reimplementations of every baseline the VRDAG paper
-//! compares against (see DESIGN.md §4 for the fidelity contract — the
-//! defining algorithmic skeleton and cost structure of each original is
-//! preserved at reduced neural capacity):
+//! compares against. The fidelity contract: the defining algorithmic
+//! skeleton and cost structure of each original is preserved at reduced
+//! neural capacity.
 //!
 //! | Baseline | Original | Kind | Attributes |
 //! |----------|----------|------|-----------|

@@ -2,7 +2,7 @@
 //! drained cold (cache disabled — every job regenerates) versus warm
 //! (bounded LRU enabled — later rounds replay cached sequences). The gap
 //! between the two is the win the determinism contract buys; the warm
-//! run asserts nonzero cache-hit and batch-size stats.
+//! run asserts nonzero cache hits.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -43,10 +43,8 @@ fn drain_repeated(registry: &ModelRegistry, cache: CacheBudget) -> f64 {
     let report = scheduler.join().unwrap();
     assert!(report.all_ok());
     if cache.is_enabled() {
-        // The whole point of the bench: repeated requests actually hit,
-        // and same-model jobs actually batch onto shared instantiations.
+        // The whole point of the bench: repeated requests actually hit.
         assert!(report.cache.hits > 0, "warm run produced no cache hits");
-        assert!(report.affinity.max_batch_len > 1, "no batching observed");
     } else {
         assert_eq!(report.cache.hits, 0);
     }

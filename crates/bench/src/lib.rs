@@ -3,7 +3,7 @@
 //! Experiment harness regenerating **every table and figure** of the VRDAG
 //! paper's evaluation (§IV), plus Criterion micro-benchmarks.
 //!
-//! One binary per experiment (see DESIGN.md §3 for the full index):
+//! One binary per experiment:
 //!
 //! | Binary      | Paper artifact |
 //! |-------------|----------------|

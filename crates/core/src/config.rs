@@ -31,7 +31,8 @@ pub struct VrdagConfig {
     pub k_mix: usize,
     /// Hidden width of the pairwise decoder MLPs `f_α` / `f_θ`. These MLPs
     /// are constrained to two layers so generation can exploit the
-    /// `W(s_i − s_j) = W s_i − W s_j` factorization (DESIGN.md §5).
+    /// `W(s_i − s_j) = W s_i − W s_j` factorization (see the
+    /// `decoder` module docs).
     pub decoder_hidden: usize,
     /// GAT head width of the attribute decoder (Eq. 12).
     pub gat_hidden: usize,
@@ -75,7 +76,7 @@ pub struct VrdagConfig {
     pub use_recurrence: bool,
     /// Calibrate generation-time edge probabilities so the expected edge
     /// count matches the training sequence (negative sampling biases raw
-    /// probabilities; see DESIGN.md §5).
+    /// probabilities; see `DecodePlan::generate_edges`).
     pub calibrate_density: bool,
     /// Affinely calibrate generated attributes per dimension to the
     /// training snapshot's moments (the attribute analogue of density

@@ -9,7 +9,7 @@
 //! evaluates **all** `N²` pairs using the difference factorization: the
 //! first Linear layer distributes over `s_i − s_j`, so `W·s_i` is
 //! precomputed once and each pair costs only `O(h + hK)` — the CPU analogue
-//! of the paper's batched GPU decode (DESIGN.md §5).
+//! of the paper's batched GPU decode.
 
 // Index-based loops below walk several parallel arrays in hot paths;
 // iterator zips would obscure them. (clippy::needless_range_loop)

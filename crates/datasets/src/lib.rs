@@ -9,8 +9,7 @@
 //! ([`synth::generate`]) reproducing the Table I shape parameters and the
 //! qualitative regimes the paper relies on — heavy-tailed directed degrees,
 //! community structure, temporal edge persistence with bursts, and a full
-//! structure ⇄ attribute co-evolution loop. See DESIGN.md §4 for the
-//! substitution rationale. Real data in the TSV format of
+//! structure ⇄ attribute co-evolution loop. Real data in the TSV format of
 //! `vrdag_graph::io::load_tsv` can be dropped in wherever a
 //! [`vrdag_graph::DynamicGraph`] is accepted.
 

@@ -5,7 +5,7 @@
 //! spec drives a synthetic generator that reproduces the Table I shape
 //! parameters (N, M, F, T) and the qualitative regime of the original
 //! (degree heavy-tail, community structure, edge persistence, reciprocity,
-//! burstiness, structure–attribute co-evolution). See DESIGN.md §4.
+//! burstiness, structure–attribute co-evolution).
 
 /// Qualitative regime of a dataset, tuning the synthetic generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -18,8 +18,8 @@
 //! The request key itself is `(model fingerprint, seed / seed_range)`:
 //! seeds are bucketed into ranges so a tenant sweeping consecutive
 //! seeds fans out across the fleet at `seed_range` granularity while
-//! still batching neighbouring seeds (which share generation shape and
-//! scheduler affinity) on one node.
+//! still keeping neighbouring seeds (which share generation shape and
+//! coalesce in one node's cache) on one node.
 //!
 //! Health is advisory and demand-driven: a dial failure or mid-stream
 //! death marks the backend down (and drops its

@@ -8,7 +8,7 @@
 //! delivered over the ticket's private channel by the worker that ran it
 //! ("workers push completions"). There is no end-of-batch report baked
 //! into the lifecycle: [`ServeHandle::stats`] takes an on-demand
-//! [`ServeStats`] snapshot (running cache / affinity / latency counters)
+//! [`ServeStats`] snapshot (running cache / latency counters)
 //! at any point while the service keeps accepting traffic. The batch
 //! convenience wrapper [`Scheduler`](crate::Scheduler) and the TCP
 //! [`Frontend`](crate::Frontend) are both thin layers over this core.
@@ -346,20 +346,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// How well model-affinity batching amortized instantiation: a "run" is a
-/// maximal stretch of consecutive same-model jobs executed by one worker
-/// (one model instantiation each, at most). Live snapshots count each
-/// worker's currently open run, so the numbers are meaningful mid-flight.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct AffinityStats {
-    /// Number of same-model runs across all workers (open runs included).
-    pub batches: usize,
-    /// Length of the longest run.
-    pub max_batch_len: usize,
-    /// Mean jobs per run.
-    pub mean_batch_len: f64,
-}
-
 /// Wall-clock latency distribution over the most recent completed jobs
 /// (a bounded sliding window, so a long-lived service pays O(window), not
 /// O(lifetime)).
@@ -475,8 +461,6 @@ pub struct ServeStats {
     pub edges: u64,
     /// Snapshot-cache counters (all zero when disabled).
     pub cache: crate::CacheStats,
-    /// Model-affinity batching statistics.
-    pub affinity: AffinityStats,
     /// Per-job wall-time percentiles.
     pub latency: LatencyStats,
     /// Per-stage percentiles from the jobs' [`JobTrace`] marks.
@@ -544,11 +528,6 @@ impl ServeStats {
             self.cache.evictions,
             self.cache.entries,
             self.cache.bytes / 1024,
-        );
-        let _ = writeln!(
-            out,
-            "  affinity: {} model batches, max {} jobs/batch, mean {:.1}",
-            self.affinity.batches, self.affinity.max_batch_len, self.affinity.mean_batch_len,
         );
         // Anonymous-only traffic keeps the legacy single-tenant summary;
         // the per-tenant section appears once named tenants show up.
@@ -731,12 +710,6 @@ impl TenantRunning {
 
 /// Mutable running statistics updated by workers as they complete jobs.
 struct RunningStats {
-    /// Closed affinity runs: count / total jobs / longest.
-    runs: usize,
-    runs_sum: usize,
-    runs_max: usize,
-    /// Per-worker open run: (model fingerprint, jobs so far).
-    open_runs: Vec<(Option<u64>, usize)>,
     latency: LatencyRing,
     latency_total: u64,
     /// Per-stage rings (queue wait, first snapshot, generation,
@@ -754,12 +727,8 @@ const STAGE_NAMES: [&str; STAGE_COUNT] =
 const STAGE_COUNT: usize = 5;
 
 impl RunningStats {
-    fn new(workers: usize) -> Self {
+    fn new() -> Self {
         RunningStats {
-            runs: 0,
-            runs_sum: 0,
-            runs_max: 0,
-            open_runs: vec![(None, 0); workers],
             latency: LatencyRing::new(LATENCY_WINDOW),
             latency_total: 0,
             stage_rings: std::array::from_fn(|_| LatencyRing::new(LATENCY_WINDOW)),
@@ -770,16 +739,6 @@ impl RunningStats {
 
     fn tenant_mut(&mut self, id: &TenantId) -> &mut TenantRunning {
         self.tenants.entry(id.clone()).or_default()
-    }
-
-    fn close_run(&mut self, worker: usize) {
-        let (_, len) = self.open_runs[worker];
-        if len > 0 {
-            self.runs += 1;
-            self.runs_sum += len;
-            self.runs_max = self.runs_max.max(len);
-        }
-        self.open_runs[worker] = (None, 0);
     }
 
     fn record_latency(&mut self, seconds: f64) {
@@ -811,19 +770,6 @@ impl RunningStats {
             generation: one(2),
             delivery: one(3),
             encode_wait: one(4),
-        }
-    }
-
-    fn affinity(&self) -> AffinityStats {
-        let open: Vec<usize> =
-            self.open_runs.iter().map(|&(_, len)| len).filter(|&len| len > 0).collect();
-        let batches = self.runs + open.len();
-        let sum = self.runs_sum + open.iter().sum::<usize>();
-        let max = self.runs_max.max(open.iter().copied().max().unwrap_or(0));
-        AffinityStats {
-            batches,
-            max_batch_len: max,
-            mean_batch_len: if batches == 0 { 0.0 } else { sum as f64 / batches as f64 },
         }
     }
 
@@ -986,7 +932,7 @@ impl ServeHandle {
             logger: config.logger.clone(),
             metrics: CoreMetrics::new(),
             intra_threads,
-            stats: Mutex::new(RunningStats::new(config.workers)),
+            stats: Mutex::new(RunningStats::new()),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -1002,7 +948,7 @@ impl ServeHandle {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vrdag-serve-worker-{i}"))
-                    .spawn(move || worker_loop(i, &shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -1195,7 +1141,7 @@ impl ServeHandle {
     /// while jobs are queued and executing.
     pub fn stats(&self) -> ServeStats {
         let shared = &self.core.shared;
-        let (affinity, latency, stages, mut tenants) = {
+        let (latency, stages, mut tenants) = {
             let stats = shared.stats.lock().expect("stats lock poisoned");
             let tenants: Vec<TenantStats> = stats
                 .tenants
@@ -1216,7 +1162,7 @@ impl ServeHandle {
                     }
                 })
                 .collect();
-            (stats.affinity(), stats.latency_stats(), stats.stage_stats(), tenants)
+            (stats.latency_stats(), stats.stage_stats(), tenants)
         };
         tenants.sort_by(|a, b| a.id.cmp(&b.id));
         ServeStats {
@@ -1233,7 +1179,6 @@ impl ServeHandle {
             snapshots: shared.snapshots.load(Ordering::SeqCst),
             edges: shared.edges.load(Ordering::SeqCst),
             cache: shared.cache.stats(),
-            affinity,
             latency,
             stages,
             tenants,
@@ -1313,15 +1258,6 @@ impl ServeHandle {
     }
 }
 
-/// A worker's single cached model instance: the artifact it belongs to
-/// and the deserialized model. Affinity scheduling makes one instance
-/// (instead of a per-model map) the right shape — switching models is
-/// exactly the batch boundary.
-struct WorkerInstance {
-    fingerprint: u64,
-    model: Vrdag,
-}
-
 /// Resolve the intra-job thread count a worker pool runs under: the
 /// requested value (or the `VRDAG_THREADS`/host default) clamped so
 /// `workers × intra_threads` never oversubscribes the host. At least 1.
@@ -1331,26 +1267,13 @@ fn effective_intra_threads(workers: usize, requested: Option<usize>) -> usize {
     requested.unwrap_or_else(vrdag_tensor::par::num_threads).clamp(1, per_worker_cap)
 }
 
-fn worker_loop(worker: usize, shared: &Shared) {
-    let mut instance: Option<WorkerInstance> = None;
-    // Run accounting follows the *jobs* (consecutive same-model
-    // stretches), not the instance: a cache-hit job for another model
-    // never needs an instance, so the old one is kept until a miss
-    // actually demands a different artifact (see run_job).
-    while let Some(mut job) = shared.queue.pop(instance.as_ref().map(|i| i.fingerprint)) {
+fn worker_loop(shared: &Shared) {
+    while let Some(mut job) = shared.queue.pop() {
         job.trace.mark_dequeued();
         // Take the completion hook out of the job before run_job consumes
         // it: the hook must fire *after* the result send below, never
         // from a drop inside the job's own execution.
         let mut notify = std::mem::take(&mut job.notify);
-        let fp = job.handle.fingerprint();
-        {
-            let mut stats = shared.stats.lock().expect("stats lock poisoned");
-            if stats.open_runs[worker].0 != Some(fp) {
-                stats.close_run(worker);
-                stats.open_runs[worker].0 = Some(fp);
-            }
-        }
         let key = job_cache_key(&job.handle, job.t_len, job.seed);
         let reply = job.reply.clone();
         // User code runs inside run_job (Callback sinks): contain a
@@ -1371,16 +1294,13 @@ fn worker_loop(worker: usize, shared: &Shared) {
         // parallel sections inside the decode see `intra_threads` on this
         // worker thread only (the override is scoped and thread-local).
         let outcome = vrdag_tensor::par::with_threads(shared.intra_threads, || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(job, &mut instance, &shared.cache)
-            }))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(job, &shared.cache)))
         });
         let mut result = match outcome {
             Ok(result) => result,
             Err(payload) => {
-                // The panic may have unwound mid-generation: discard the
-                // cached model instance and any truncated output file.
-                instance = None;
+                // The panic may have unwound mid-generation: discard any
+                // truncated output file.
                 if let Some(path) = &sink_path {
                     let _ = std::fs::remove_file(path);
                 }
@@ -1436,7 +1356,6 @@ fn worker_loop(worker: usize, shared: &Shared) {
         }
         {
             let mut stats = shared.stats.lock().expect("stats lock poisoned");
-            stats.open_runs[worker].1 += 1;
             stats.record_latency(result.seconds);
             stats.record_stages(&result.stages);
             stats.tenant_mut(tenant.id()).record_result(&result);
@@ -1456,9 +1375,6 @@ fn worker_loop(worker: usize, shared: &Shared) {
         // hook runs.
         notify.fire();
     }
-    // Fold the final open run into the closed totals so post-shutdown
-    // snapshots see every run.
-    shared.stats.lock().expect("stats lock poisoned").close_run(worker);
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1472,7 +1388,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCache) -> JobResult {
+fn run_job(job: Job, cache: &SnapshotCache) -> JobResult {
     let Job {
         id,
         handle,
@@ -1506,9 +1422,8 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
         if cache.is_enabled() {
             if let Some(graph) = cache.get(&key) {
                 // Hit: replay the cached sequence into the sink (no
-                // model instance needed, so the worker's current one is
-                // left alone). The determinism contract makes this
-                // bit-identical to regenerating
+                // model instance needed). The determinism contract
+                // makes this bit-identical to regenerating
                 // (tests/cache_determinism.rs). Cancellation stops the
                 // replay at a snapshot boundary exactly like cold
                 // generation, so subscribers observe the same frames
@@ -1519,21 +1434,15 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
                 return Ok((stats, out, cancelled));
             }
         }
-        // Miss: make sure this worker's instance matches the artifact
-        // (invalidated lazily, only when a miss actually needs another
-        // model — the worker still holds at most one instance).
-        if instance.as_ref().map(|i| i.fingerprint) != Some(handle.fingerprint()) {
-            *instance = None;
-            let model = handle.instantiate()?;
-            *instance = Some(WorkerInstance { fingerprint: handle.fingerprint(), model });
-        }
-        let model = &instance.as_ref().expect("just ensured").model;
+        // Miss: deserialize a private instance for this job; it is
+        // dropped when the job ends.
+        let model = handle.instantiate()?;
         // One generation pass: the sink streams per snapshot exactly as
         // with caching off, and the sequence is additionally retained
         // for the cache only while it fits the byte budget.
         let budget = cache.is_enabled().then(|| cache.budget().max_bytes);
         let (stats, graph, cancelled) =
-            generate_into_sink(model, t_len, seed, &mut sink, budget, cancel, &trace)?;
+            generate_into_sink(&model, t_len, seed, &mut sink, budget, cancel, &trace)?;
         let graph = graph.map(Arc::new);
         if cache.is_enabled() && !cancelled {
             if let Some(g) = &graph {

@@ -10,27 +10,26 @@
 //! * [`ModelRegistry`] — loads trained models (the `vrdag::persist`
 //!   binary format), keeps the serialized artifact behind an `Arc`, and
 //!   hands out cheap, thread-safe [`ModelHandle`]s keyed by name.
-//!   Handles are `Send + Sync`; each worker *instantiates* a private
-//!   `Vrdag` from the shared bytes (the model's autograd tensors are
-//!   `Rc`-based and deliberately stay single-threaded) and caches it
-//!   thread-locally, so the steady-state per-request cost is one hash
-//!   lookup.
+//!   Handles are `Send + Sync`; a worker *instantiates* a private
+//!   `Vrdag` from the shared bytes for each job it generates (the
+//!   model's autograd tensors are `Rc`-based and deliberately stay
+//!   single-threaded) and drops it when the job ends.
 //! * [`SnapshotStream`] — a pull-based iterator over
 //!   `vrdag::GenerationState` (Algorithm 1, one snapshot per step) that
 //!   produces a seed-addressed synthetic sequence with memory bounded by
 //!   a single snapshot, and can spill incrementally through the
 //!   streaming TSV/binary writers of `vrdag_graph::io`.
-//! * [`JobQueue`] + [`SnapshotCache`] — the scheduling spine: per-model
-//!   affinity groups with priority-first selection, admission control,
-//!   in-flight coalescing of identical requests, and a bounded LRU over
-//!   generated sequences keyed by `(artifact fingerprint, t_len, seed)`.
-//!   The generator's determinism contract makes hits bit-identical to
-//!   cold generation.
+//! * [`JobQueue`] + [`SnapshotCache`] — the scheduling spine:
+//!   weighted-fair tenant lanes with priority-first selection,
+//!   admission control, in-flight coalescing of identical requests, and
+//!   a bounded LRU over generated sequences keyed by
+//!   `(artifact fingerprint, t_len, seed)`. The generator's determinism
+//!   contract makes hits bit-identical to cold generation.
 //! * [`ServeHandle`] — the **service core**: a cheaply clonable,
 //!   `Send + Sync` front door whose non-blocking `submit` returns a
 //!   [`Ticket`] per job (result delivered over the ticket's private
 //!   channel by the worker that ran it) and whose [`ServeStats`]
-//!   snapshot exposes running cache / affinity / latency(p50/p95/p99) /
+//!   snapshot exposes running cache / latency(p50/p95/p99) /
 //!   dropped-job counters on demand.
 //! * [`Scheduler`] — a thin batch facade over the core for
 //!   submit-everything-then-drain workloads ([`BatchReport`]).
@@ -99,9 +98,9 @@ pub mod tenant;
 pub use backend::{BackendMeta, BackendPool};
 pub use cache::{CacheBudget, CacheKey, CacheStats, SnapshotCache};
 pub use core::{
-    AffinityStats, CancelToken, CompletionNotify, GenRequest, GenSink, JobId, JobResult,
-    LatencyStats, SchedulerConfig, ServeConfig, ServeHandle, ServeStats, SnapshotCallback,
-    StageLatencyStats, TenantStats, Ticket,
+    CancelToken, CompletionNotify, GenRequest, GenSink, JobId, JobResult, LatencyStats,
+    SchedulerConfig, ServeConfig, ServeHandle, ServeStats, SnapshotCallback, StageLatencyStats,
+    TenantStats, Ticket,
 };
 pub use frontend::{Frontend, FrontendConfig, LineClient, Reply};
 pub use httpexpo::{HttpEndpoints, HttpExpo};

@@ -1,7 +1,7 @@
 //! The shared work queue drained by the service core's worker pool:
 //! weighted-fair selection across tenants, and within each tenant
-//! per-model-artifact FIFO groups with priority-first, affinity-aware
-//! selection and in-flight coalescing of identical requests.
+//! priority-ordered selection and in-flight coalescing of identical
+//! requests.
 //!
 //! **Tenant fairness (deficit round robin)** — queued jobs are first
 //! partitioned into per-tenant lanes. Each lane holds a *deficit*
@@ -17,15 +17,10 @@
 //! contention. Priority remains a *within-tenant* concept: it picks
 //! which of a tenant's jobs runs next, never whose turn it is.
 //!
-//! **Model-affinity batching** — within the selected tenant's lane,
-//! jobs are grouped by model artifact (content fingerprint). A worker
-//! keeps draining its current model's group before switching, so a
-//! batch of `k` jobs against one model pays the deserialization cost
-//! once per worker *per batch*. Group selection is priority-first: a
-//! group's effective priority is the highest
-//! [`GenRequest::priority`](crate::GenRequest::priority) among its
-//! runnable queued jobs (ties broken by arrival), and a worker abandons
-//! its affinity when a strictly higher-priority group is waiting.
+//! **Priority** — a lane keeps its jobs ordered by
+//! [`GenRequest::priority`](crate::GenRequest::priority), highest first,
+//! then by arrival. The lane's next job is the first runnable one in
+//! that order, whatever model it targets.
 //!
 //! **Coalescing** — when a [`SnapshotCache`] is attached, a queued
 //! duplicate of a `(model, t_len, seed)` key that is already generating
@@ -42,7 +37,8 @@ use crate::cache::{CacheKey, SnapshotCache};
 use crate::core::{job_cache_key, CancelToken, CompletionNotify, GenSink, JobId, JobResult};
 use crate::registry::ModelHandle;
 use crate::tenant::{Tenant, TenantId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -76,83 +72,24 @@ pub(crate) struct Job {
     pub(crate) notify: CompletionNotify,
 }
 
-/// One model artifact's queued jobs (FIFO), with the group's effective
-/// priority maintained incrementally: `max_priority` is the max over the
-/// queued jobs and `max_count` how many carry it, so a pop only rescans
-/// the group when the last max-priority job leaves. This keeps queue
-/// selection O(#groups) per pop instead of O(#queued jobs).
-struct Group {
-    jobs: VecDeque<Job>,
-    max_priority: i32,
-    max_count: usize,
-}
+/// Lane order: highest priority first, then arrival (job ids are
+/// assigned in submission order).
+type LaneKey = (Reverse<i32>, JobId);
 
-impl Group {
-    fn new() -> Self {
-        Group { jobs: VecDeque::new(), max_priority: i32::MIN, max_count: 0 }
-    }
-
-    fn push(&mut self, job: Job) {
-        match job.priority.cmp(&self.max_priority) {
-            std::cmp::Ordering::Greater => {
-                self.max_priority = job.priority;
-                self.max_count = 1;
-            }
-            std::cmp::Ordering::Equal => self.max_count += 1,
-            std::cmp::Ordering::Less => {}
-        }
-        self.jobs.push_back(job);
-    }
-
-    fn remove_at(&mut self, idx: usize) -> Job {
-        let job = self.jobs.remove(idx).expect("index in range");
-        if job.priority == self.max_priority {
-            self.max_count -= 1;
-            if self.max_count == 0 {
-                self.max_priority = self.jobs.iter().map(|j| j.priority).max().unwrap_or(i32::MIN);
-                self.max_count =
-                    self.jobs.iter().filter(|j| j.priority == self.max_priority).count();
-            }
-        }
-        job
-    }
-}
-
-/// A group's runnable work under coalescing: the first job a worker may
-/// take (FIFO among runnable jobs) and the highest priority among the
-/// runnable jobs — blocked duplicates must not inflate the group's
-/// effective priority, or a low-priority candidate could preempt
-/// another model's strictly higher-priority runnable job.
-struct Candidate {
-    index: usize,
-    priority: i32,
-    front_id: u64,
-}
-
-/// One tenant's queued jobs, grouped by model artifact, plus the lane's
+/// One tenant's queued jobs in run order, plus the lane's
 /// deficit-round-robin state. Lanes are removed when drained (their
 /// deficit dies with them, as in classic DRR).
 struct Lane {
-    /// Queued jobs grouped by model artifact fingerprint. Groups are
-    /// removed when drained, so every stored group is non-empty.
-    groups: HashMap<u64, Group>,
-    queued: usize,
+    /// Queued jobs; never empty for a stored lane.
+    jobs: BTreeMap<LaneKey, Job>,
     weight: u32,
     /// Unspent serving credit in snapshot units (a job costs `t_len`).
     deficit: u64,
 }
 
-impl Lane {
-    fn new(weight: u32) -> Lane {
-        Lane { groups: HashMap::new(), queued: 0, weight: weight.max(1), deficit: 0 }
-    }
-}
-
-/// The lane job [`QueueState::lane_best`] selected: which group, which
-/// index within it, and the job's DRR cost.
+/// The lane job [`QueueState::lane_best`] selected and its DRR cost.
 struct LanePick {
-    fp: u64,
-    index: usize,
+    key: LaneKey,
     cost: u64,
 }
 
@@ -167,13 +104,6 @@ struct QueueState {
     /// queued duplicates are held back until the key finishes, then pop
     /// as cache hits.
     busy: HashSet<CacheKey>,
-    /// How many `busy` keys belong to each model fingerprint. Lets
-    /// [`candidate`](QueueState::candidate) keep its O(1) fast path per
-    /// group whenever *that group's* model has nothing in flight —
-    /// without this, any busy key anywhere forced a full scan of every
-    /// queued job on every pop, defeating the incremental group-max
-    /// bookkeeping.
-    busy_fps: HashMap<u64, usize>,
     /// Keys observed to finish without becoming cached (oversized for
     /// the byte budget, or failed): their duplicates can never be served
     /// by waiting, so they are exempt from coalescing and run in
@@ -197,87 +127,23 @@ impl QueueState {
         !self.busy.contains(&key) || self.uncacheable.contains(&key) || cache.contains(&key)
     }
 
-    /// The runnable candidate of `group` (keyed by model fingerprint
-    /// `fp`), if any.
-    fn candidate(
-        &self,
-        cache: Option<&SnapshotCache>,
-        fp: u64,
-        group: &Group,
-    ) -> Option<Candidate> {
-        if !self.busy_fps.contains_key(&fp) {
-            // Fast path: coalescing only ever blocks a duplicate of an
-            // in-flight key, and in-flight keys of *other* models cannot
-            // collide with this group's jobs — nothing here is blocked,
-            // the incrementally maintained group max holds.
-            return group.jobs.front().map(|front| Candidate {
-                index: 0,
-                priority: group.max_priority,
-                front_id: front.id.0,
-            });
-        }
-        let mut first: Option<usize> = None;
-        let mut priority = i32::MIN;
-        for (i, job) in group.jobs.iter().enumerate() {
-            if self.runnable(cache, job) {
-                first.get_or_insert(i);
-                priority = priority.max(job.priority);
-            }
-        }
-        first.map(|index| Candidate { index, priority, front_id: group.jobs[index].id.0 })
-    }
-
-    /// Pick the best runnable job *within one lane*: the best group has
-    /// the highest priority among runnable jobs, ties broken by oldest
-    /// runnable job; a worker's `preferred` group wins whenever it
-    /// matches the best priority, so affinity never starves a
-    /// higher-priority model. `None` when everything in the lane is
-    /// coalescing-blocked.
-    fn lane_best(
-        &self,
-        cache: Option<&SnapshotCache>,
-        lane: &Lane,
-        preferred: Option<u64>,
-    ) -> Option<LanePick> {
-        let mut best: Option<(u64, Candidate)> = None;
-        for (&fp, g) in &lane.groups {
-            let Some(cand) = self.candidate(cache, fp, g) else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, b)) => {
-                    cand.priority > b.priority
-                        || (cand.priority == b.priority && cand.front_id < b.front_id)
-                }
-            };
-            if better {
-                best = Some((fp, cand));
-            }
-        }
-        let (best_fp, best_cand) = best?;
-        let (fp, index) = match preferred {
-            Some(pfp) if pfp != best_fp => match lane.groups.get(&pfp) {
-                Some(g) => match self.candidate(cache, pfp, g) {
-                    Some(c) if c.priority == best_cand.priority => (pfp, c.index),
-                    _ => (best_fp, best_cand.index),
-                },
-                None => (best_fp, best_cand.index),
-            },
-            _ => (best_fp, best_cand.index),
-        };
-        let cost = lane.groups[&fp].jobs[index].t_len.max(1) as u64;
-        Some(LanePick { fp, index, cost })
+    /// The lane's first runnable job in priority-then-arrival order.
+    /// `None` when everything in the lane is coalescing-blocked.
+    fn lane_best(&self, cache: Option<&SnapshotCache>, lane: &Lane) -> Option<LanePick> {
+        let (&key, job) = lane.jobs.iter().find(|(_, job)| self.runnable(cache, job))?;
+        Some(LanePick { key, cost: job.t_len.max(1) as u64 })
     }
 
     /// Pick the next runnable job: deficit-round-robin across tenant
-    /// lanes, then the lane-local priority/affinity pick. Returns `None`
-    /// when everything queued is coalescing-blocked (the caller waits
-    /// for a finish notification).
-    fn take_next(&mut self, preferred: Option<u64>, cache: Option<&SnapshotCache>) -> Option<Job> {
+    /// lanes, then the lane-local priority pick. Returns `None` when
+    /// everything queued is coalescing-blocked (the caller waits for a
+    /// finish notification).
+    fn take_next(&mut self, cache: Option<&SnapshotCache>) -> Option<Job> {
         // Runnable lanes in rotation order, with their lane-local pick.
         let mut runnable: Vec<(TenantId, LanePick)> = Vec::new();
         for tenant in &self.rotation {
             let lane = &self.lanes[tenant];
-            if let Some(pick) = self.lane_best(cache, lane, preferred) {
+            if let Some(pick) = self.lane_best(cache, lane) {
                 runnable.push((tenant.clone(), pick));
             }
         }
@@ -323,13 +189,8 @@ impl QueueState {
             (tenant, pick)
         };
         let lane = self.lanes.get_mut(&tenant).expect("chosen lane exists");
-        let group = lane.groups.get_mut(&pick.fp).expect("chosen group exists");
-        let job = group.remove_at(pick.index);
-        if group.jobs.is_empty() {
-            lane.groups.remove(&pick.fp);
-        }
-        lane.queued -= 1;
-        if lane.groups.is_empty() {
+        let job = lane.jobs.remove(&pick.key).expect("chosen job is queued");
+        if lane.jobs.is_empty() {
             self.lanes.remove(&tenant);
             self.rotation.retain(|t| t != &tenant);
         }
@@ -387,7 +248,6 @@ impl JobQueue {
                 lanes: HashMap::new(),
                 rotation: Vec::new(),
                 busy: HashSet::new(),
-                busy_fps: HashMap::new(),
                 uncacheable: HashSet::new(),
                 executing: HashMap::new(),
                 queued: 0,
@@ -418,7 +278,7 @@ impl JobQueue {
         }
         let tenant = Arc::clone(&job.tenant);
         let tenant_id = tenant.id().clone();
-        let tenant_queued = state.lanes.get(&tenant_id).map_or(0, |l| l.queued);
+        let tenant_queued = state.lanes.get(&tenant_id).map_or(0, |l| l.jobs.len());
         if let Some(max) = tenant.max_inflight {
             let executing = state.executing.get(&tenant_id).copied().unwrap_or(0);
             if tenant_queued + executing >= max {
@@ -445,11 +305,14 @@ impl JobQueue {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     state.rotation.push(tenant_id);
-                    e.insert(Lane::new(tenant.weight))
+                    e.insert(Lane {
+                        jobs: BTreeMap::new(),
+                        weight: tenant.weight.max(1),
+                        deficit: 0,
+                    })
                 }
             };
-            lane.groups.entry(job.handle.fingerprint()).or_insert_with(Group::new).push(job);
-            lane.queued += 1;
+            lane.jobs.insert((Reverse(job.priority), job.id), job);
             state.queued += 1;
         }
         drop(state);
@@ -458,20 +321,13 @@ impl JobQueue {
     }
 
     /// Blocks until a runnable job is available or the queue is closed
-    /// and drained. `preferred` is the model-artifact fingerprint the
-    /// calling worker already has instantiated (its affinity).
-    pub(crate) fn pop(&self, preferred: Option<u64>) -> Option<Job> {
+    /// and drained.
+    pub(crate) fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
-            if let Some(job) = state.take_next(preferred, self.cache.as_ref()) {
+            if let Some(job) = state.take_next(self.cache.as_ref()) {
                 if self.cache.is_some() {
-                    // Uncacheable-exempt duplicates may run the same key
-                    // concurrently; count the fingerprint only when the
-                    // key really entered the busy set.
-                    let key = job_cache_key(&job.handle, job.t_len, job.seed);
-                    if state.busy.insert(key) {
-                        *state.busy_fps.entry(key.model_fingerprint).or_insert(0) += 1;
-                    }
+                    state.busy.insert(job_cache_key(&job.handle, job.t_len, job.seed));
                 }
                 *state.executing.entry(job.tenant.id().clone()).or_insert(0) += 1;
                 let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -498,14 +354,7 @@ impl JobQueue {
             }
         }
         if let Some(cache) = &self.cache {
-            if state.busy.remove(key) {
-                match state.busy_fps.get_mut(&key.model_fingerprint) {
-                    Some(count) if *count > 1 => *count -= 1,
-                    _ => {
-                        state.busy_fps.remove(&key.model_fingerprint);
-                    }
-                }
-            }
+            state.busy.remove(key);
             if !cache.contains(key) {
                 // Finished without becoming resident: duplicates gain
                 // nothing by waiting, stop holding them back. Bounded
@@ -553,7 +402,12 @@ impl JobQueue {
 
     /// Jobs queued for one tenant specifically.
     pub fn tenant_depth(&self, tenant: &TenantId) -> usize {
-        self.state.lock().expect("queue lock poisoned").lanes.get(tenant).map_or(0, |l| l.queued)
+        self.state
+            .lock()
+            .expect("queue lock poisoned")
+            .lanes
+            .get(tenant)
+            .map_or(0, |l| l.jobs.len())
     }
 
     /// Point-in-time view of every live tenant lane, in DRR rotation
@@ -566,7 +420,7 @@ impl JobQueue {
             .filter_map(|tenant| {
                 state.lanes.get(tenant).map(|lane| LaneStats {
                     tenant: tenant.to_string(),
-                    queued: lane.queued,
+                    queued: lane.jobs.len(),
                     weight: lane.weight,
                     deficit: lane.deficit,
                 })

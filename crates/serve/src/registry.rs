@@ -4,9 +4,9 @@
 //! `vrdag::persist` binary format) behind an `Arc`, because the in-memory
 //! `Vrdag` is intentionally single-threaded (`Rc`-based autograd
 //! tensors). A [`ModelHandle`] is therefore `Send + Sync` and cheap to
-//! clone; workers call [`ModelHandle::instantiate`] once and reuse the
-//! instance for every subsequent request against the same artifact
-//! (see `scheduler::Worker`'s thread-local cache).
+//! clone; a worker calls [`ModelHandle::instantiate`] for each job it
+//! has to generate (a cache miss) and drops the instance when the job
+//! ends — deserializing is small next to generating.
 
 use crate::{ServeError, SnapshotStream};
 use std::collections::HashMap;
@@ -61,12 +61,6 @@ impl ModelHandle {
     /// The raw serialized artifact.
     pub fn bytes(&self) -> &Arc<Vec<u8>> {
         &self.bytes
-    }
-
-    /// Two handles are the same artifact iff they share bytes. Used by
-    /// worker-side instance caches to detect re-registration.
-    pub fn same_artifact(&self, other: &ModelHandle) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
     }
 
     /// Deserialize a private, generation-ready [`Vrdag`] instance.
@@ -238,7 +232,7 @@ mod tests {
         let model = fitted();
         let old = registry.register("m", &model).unwrap();
         let new = registry.register("m", &model).unwrap();
-        assert!(!old.same_artifact(&new));
+        assert!(!Arc::ptr_eq(old.bytes(), new.bytes()));
         // The old handle still instantiates fine.
         old.instantiate().unwrap();
         // Serialization is deterministic, so re-registering the same model

@@ -99,7 +99,7 @@ pub struct RouterConfig {
     pub dial_timeout: Duration,
     /// Width of the seed bucket in the placement key (`seed /
     /// seed_range`): consecutive seeds within one bucket share a
-    /// backend (cache + scheduler affinity), buckets fan out.
+    /// backend (cache locality), buckets fan out.
     pub seed_range: u64,
     /// Readiness backend for the accept loop and every session loop.
     pub poller: Backend,
@@ -1239,7 +1239,7 @@ impl Session {
         }
         let agg = self.aggs.remove(&id).expect("aggregate vanished");
         let payload = match agg.kind {
-            AggKind::Stats => render_stats_aggregate(&self.shared, &agg.parts),
+            AggKind::Stats => render_stats_aggregate(&self.shared.pool, &agg.parts),
             AggKind::Models => {
                 // A MODELS sweep doubles as a fingerprint refresh, so
                 // placement self-heals after model re-registration.
@@ -1596,80 +1596,117 @@ struct ParsedStats {
     tenants: Vec<(String, [u64; 6])>,
 }
 
+/// Why one backend's `STATS` payload could not be summed into the
+/// fleet aggregate.
+#[derive(Debug, PartialEq)]
+enum StatsParseError {
+    /// A required summary line is absent.
+    MissingLine(&'static str),
+    /// A counter on `line` (1-based) is missing or not a number.
+    BadCounter { line: usize, field: &'static str, token: String },
+}
+
+impl std::fmt::Display for StatsParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StatsParseError::MissingLine(what) => write!(f, "no `{what}` line"),
+            StatsParseError::BadCounter { line, field, token } => {
+                write!(f, "line {line}: {field} counter {token:?} is not a number")
+            }
+        }
+    }
+}
+
 /// Parse the counters the aggregate sums out of one
 /// `ServeStats::render()` payload. The format is our own (stable,
-/// loopback-tested); anything unparseable is skipped, never fatal.
-fn parse_backend_stats(text: &str) -> ParsedStats {
+/// loopback-tested); a payload that does not match it is an error, so
+/// the aggregate can name the backend instead of summing a silent 0.
+fn parse_backend_stats(text: &str) -> Result<ParsedStats, StatsParseError> {
     let mut out = ParsedStats::default();
-    let mut in_tenants = false;
-    for line in text.lines() {
+    let (mut saw_serve, mut saw_cache, mut in_tenants) = (false, false, false);
+    for (i, line) in text.lines().enumerate() {
         let tokens: Vec<&str> = line.split_whitespace().collect();
-        if line.starts_with("serve: ") && tokens.len() >= 5 {
+        let counter = |idx: usize, field: &'static str| -> Result<u64, StatsParseError> {
+            let token = tokens.get(idx).copied().unwrap_or("");
+            token.trim_start_matches('(').parse().map_err(|_| StatsParseError::BadCounter {
+                line: i + 1,
+                field,
+                token: token.to_string(),
+            })
+        };
+        if line.starts_with("serve: ") {
             // serve: A submitted / B completed (...)
-            out.submitted = tokens[1].parse().unwrap_or(0);
-            out.completed = tokens[4].parse().unwrap_or(0);
-        } else if tokens.first() == Some(&"cache:") && tokens.len() >= 6 {
+            out.submitted = counter(1, "submitted")?;
+            out.completed = counter(4, "completed")?;
+            saw_serve = true;
+        } else if tokens.first() == Some(&"cache:") {
             // cache: H hits / M misses (...)
-            out.cache_hits = tokens[1].parse().unwrap_or(0);
-            out.cache_misses = tokens[4].parse().unwrap_or(0);
+            out.cache_hits = counter(1, "cache hits")?;
+            out.cache_misses = counter(4, "cache misses")?;
+            saw_cache = true;
         } else if line.trim_end() == "  tenants:" {
             in_tenants = true;
-        } else if in_tenants && line.starts_with("    ") && tokens.len() >= 14 {
+        } else if in_tenants && line.starts_with("    ") {
             // id w=K A submitted / B completed (C failed, D cancelled,
             // E rejected) KIB KiB streamed p50 ...
-            let id = tokens[0].to_string();
             let nums = [
-                tokens[2].parse().unwrap_or(0),
-                tokens[5].parse().unwrap_or(0),
-                tokens[7].trim_start_matches('(').parse().unwrap_or(0),
-                tokens[9].parse().unwrap_or(0),
-                tokens[11].parse().unwrap_or(0),
-                tokens[13].parse().unwrap_or(0),
+                counter(2, "tenant submitted")?,
+                counter(5, "tenant completed")?,
+                counter(7, "tenant failed")?,
+                counter(9, "tenant cancelled")?,
+                counter(11, "tenant rejected")?,
+                counter(13, "tenant KiB streamed")?,
             ];
-            out.tenants.push((id, nums));
-        } else if in_tenants && !line.starts_with("    ") {
+            out.tenants.push((tokens[0].to_string(), nums));
+        } else if in_tenants {
             in_tenants = false;
         }
     }
-    out
+    match (saw_serve, saw_cache) {
+        (false, _) => Err(StatsParseError::MissingLine("serve:")),
+        (_, false) => Err(StatsParseError::MissingLine("cache:")),
+        _ => Ok(out),
+    }
 }
 
-fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
+fn render_stats_aggregate(pool: &BackendPool, parts: &[Part]) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut totals = ParsedStats::default();
     let mut tenant_sums: Vec<(String, [u64; 6])> = Vec::new();
-    let parsed: Vec<Option<ParsedStats>> = parts
-        .iter()
-        .map(|part| match part {
-            Part::Payload(bytes) => {
-                let stats = parse_backend_stats(&String::from_utf8_lossy(bytes));
-                totals.submitted += stats.submitted;
-                totals.completed += stats.completed;
-                totals.cache_hits += stats.cache_hits;
-                totals.cache_misses += stats.cache_misses;
-                for (id, nums) in &stats.tenants {
-                    match tenant_sums.iter_mut().find(|(i, _)| i == id) {
-                        Some((_, acc)) => {
-                            for (a, n) in acc.iter_mut().zip(nums) {
-                                *a += n;
-                            }
-                        }
-                        None => tenant_sums.push((id.clone(), *nums)),
+    // Backends whose payload did not parse: named in the aggregate and
+    // left out of its sums.
+    let mut unparsed: Vec<(usize, StatsParseError)> = Vec::new();
+    for (slot, part) in parts.iter().enumerate() {
+        let Part::Payload(bytes) = part else { continue };
+        let stats = match parse_backend_stats(&String::from_utf8_lossy(bytes)) {
+            Ok(stats) => stats,
+            Err(e) => {
+                unparsed.push((slot, e));
+                continue;
+            }
+        };
+        totals.submitted += stats.submitted;
+        totals.completed += stats.completed;
+        totals.cache_hits += stats.cache_hits;
+        totals.cache_misses += stats.cache_misses;
+        for (id, nums) in stats.tenants {
+            match tenant_sums.iter_mut().find(|(i, _)| *i == id) {
+                Some((_, acc)) => {
+                    for (a, n) in acc.iter_mut().zip(nums) {
+                        *a += n;
                     }
                 }
-                Some(stats)
+                None => tenant_sums.push((id, nums)),
             }
-            _ => None,
-        })
-        .collect();
-    drop(parsed);
+        }
+    }
     tenant_sums.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = String::new();
     let _ = writeln!(
         out,
         "route: {} backends ({} up)  {} submitted / {} completed across the fleet",
         parts.len(),
-        shared.pool.up_count(),
+        pool.up_count(),
         totals.submitted,
         totals.completed,
     );
@@ -1678,6 +1715,10 @@ fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
         "  cache: {} hits / {} misses fleet-wide",
         totals.cache_hits, totals.cache_misses
     );
+    for (slot, err) in &unparsed {
+        let addr = pool.get(*slot).addr();
+        let _ = writeln!(out, "  unparsed: backend {addr} left out of the totals ({err})");
+    }
     if !tenant_sums.is_empty() {
         let _ = writeln!(out, "  tenants (summed across backends):");
         for (id, [submitted, completed, failed, cancelled, rejected, kib]) in &tenant_sums {
@@ -1688,7 +1729,7 @@ fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
         }
     }
     for (slot, part) in parts.iter().enumerate() {
-        let addr = shared.pool.get(slot).addr();
+        let addr = pool.get(slot).addr();
         match part {
             Part::Payload(bytes) => {
                 let _ = writeln!(out, "--- backend {addr} ---");
@@ -1797,7 +1838,7 @@ mod tests {
     #[test]
     fn backend_stats_parse_and_sum() {
         let a = "serve: 7 submitted / 6 completed (1 failed, 0 cancelled, 0 dropped) on 2 workers in 1.000s  (peak 2 in flight, 0 queued now)\n  throughput: 12 snapshots / 30 edges total\n  cache: 3 hits / 4 misses (43% hit rate), 0 evictions, 4 entries / 12 KiB resident\n  tenants:\n    gold             w=3  5 submitted / 4 completed (1 failed, 0 cancelled, 0 rejected)  18 KiB streamed  p50 1.00ms p95 2.00ms\n    bronze           w=1  2 submitted / 2 completed (0 failed, 0 cancelled, 2 rejected)  6 KiB streamed  p50 1.00ms p95 2.00ms\n";
-        let parsed = parse_backend_stats(a);
+        let parsed = parse_backend_stats(a).unwrap();
         assert_eq!(parsed.submitted, 7);
         assert_eq!(parsed.completed, 6);
         assert_eq!(parsed.cache_hits, 3);
@@ -1807,6 +1848,45 @@ mod tests {
         assert_eq!(gold.1, [5, 4, 1, 0, 0, 18]);
         let bronze = parsed.tenants.iter().find(|(id, _)| id == "bronze").unwrap();
         assert_eq!(bronze.1, [2, 2, 0, 0, 2, 6]);
+    }
+
+    #[test]
+    fn malformed_backend_stats_are_an_error_named_in_the_aggregate() {
+        let good = "serve: 7 submitted / 6 completed (1 failed, 0 cancelled, 0 dropped) on 2 workers in 1.000s  (peak 2 in flight, 0 queued now)\n  cache: 3 hits / 4 misses (43% hit rate), 0 evictions, 4 entries / 12 KiB resident\n";
+        let bad = "serve: 7 submitted / many completed (1 failed, 0 cancelled, 0 dropped) on 2 workers in 1.000s  (peak 2 in flight, 0 queued now)\n  cache: 3 hits / 4 misses (43% hit rate), 0 evictions, 4 entries / 12 KiB resident\n";
+        assert_eq!(
+            parse_backend_stats(bad).err(),
+            Some(StatsParseError::BadCounter {
+                line: 1,
+                field: "completed",
+                token: "many".to_string()
+            })
+        );
+        let truncated = "serve: 7 submitted / 6 completed (1 failed, 0 cancelled, 0 dropped)\n  cache: 3 hits\n";
+        assert!(matches!(
+            parse_backend_stats(truncated),
+            Err(StatsParseError::BadCounter { line: 2, field: "cache misses", .. })
+        ));
+        assert_eq!(
+            parse_backend_stats("hello\n").err(),
+            Some(StatsParseError::MissingLine("serve:"))
+        );
+
+        let addrs: Vec<SocketAddr> =
+            vec!["127.0.0.1:7001".parse().unwrap(), "127.0.0.1:7002".parse().unwrap()];
+        let pool = BackendPool::new(addrs, 1, &Registry::new());
+        let parts =
+            [Part::Payload(good.as_bytes().to_vec()), Part::Payload(bad.as_bytes().to_vec())];
+        let text = String::from_utf8(render_stats_aggregate(&pool, &parts)).unwrap();
+        // Only the parsed backend is summed; the other is named, not zeroed.
+        assert!(text.starts_with("route: 2 backends (2 up)  7 submitted / 6 completed"), "{text}");
+        assert!(
+            text.contains(
+                "  unparsed: backend 127.0.0.1:7002 left out of the totals (line 1: completed counter \"many\" is not a number)"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("backend 127.0.0.1:7001 left out"), "{text}");
     }
 
     #[test]

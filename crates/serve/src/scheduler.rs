@@ -5,13 +5,13 @@
 //! `batch-generate` and the offline experiments want, without the
 //! frontend's long-lived lifecycle.
 //!
-//! All scheduling behavior (model-affinity batching, priorities,
-//! admission control, snapshot cache, coalescing) lives in the core; the
+//! All scheduling behavior (tenant fairness, priorities, admission
+//! control, snapshot cache, coalescing) lives in the core; the
 //! facade adds only ticket bookkeeping and report assembly. For
 //! always-on serving use [`ServeHandle`] directly, or put the TCP
 //! [`Frontend`](crate::Frontend) in front of it.
 
-use crate::core::{AffinityStats, GenRequest, JobId, JobResult, ServeConfig, ServeHandle, Ticket};
+use crate::core::{GenRequest, JobId, JobResult, ServeConfig, ServeHandle, Ticket};
 use crate::registry::ModelRegistry;
 use crate::{CacheStats, ServeError, SnapshotCache};
 use std::time::Instant;
@@ -34,8 +34,6 @@ pub struct BatchReport {
     pub workers: usize,
     /// Snapshot-cache counters at drain time (all zero when disabled).
     pub cache: CacheStats,
-    /// Model-affinity batching statistics.
-    pub affinity: AffinityStats,
     /// Per-job wall-time percentiles over the batch.
     pub latency: crate::LatencyStats,
 }
@@ -74,11 +72,6 @@ impl BatchReport {
             self.cache.evictions,
             self.cache.entries,
             self.cache.bytes / 1024,
-        );
-        let _ = writeln!(
-            out,
-            "  affinity: {} model batches, max {} jobs/batch, mean {:.1}",
-            self.affinity.batches, self.affinity.max_batch_len, self.affinity.mean_batch_len,
         );
         for j in &self.jobs {
             match &j.error {
@@ -189,9 +182,8 @@ impl Scheduler {
         for ticket in self.tickets.drain(..) {
             jobs.push(ticket.wait()?);
         }
-        // Workers have nothing left after the tickets resolve; joining
-        // them folds each worker's final open affinity run into the
-        // stats before the snapshot below.
+        // Workers have nothing left after the tickets resolve; join
+        // them so the snapshot below sees the final counters.
         self.handle.join_workers();
         // Each result arrived on its own channel; the completion
         // sequence number restores global completion order.
@@ -205,7 +197,6 @@ impl Scheduler {
             max_in_flight: stats.max_in_flight,
             workers: stats.workers,
             cache: stats.cache,
-            affinity: stats.affinity,
             latency: stats.latency,
             jobs,
             total_seconds,
@@ -407,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_throughput_cache_affinity_and_latency() {
+    fn report_renders_throughput_cache_and_latency() {
         let (registry, _) = registry_with_tiny();
         let mut scheduler = Scheduler::with_config(
             registry,
@@ -422,11 +413,9 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("3 jobs on 2 workers"), "{rendered}");
         assert!(rendered.contains("cache:"), "{rendered}");
-        assert!(rendered.contains("affinity:"), "{rendered}");
         assert!(rendered.contains("latency: p50"), "{rendered}");
         assert!(report.jobs_per_sec > 0.0);
         assert!(report.snapshots_per_sec > 0.0);
-        assert!(report.affinity.batches >= 1);
         assert!(report.latency.p99_seconds >= report.latency.p50_seconds);
         assert_eq!(report.cache.misses, 3, "distinct seeds all miss");
     }
@@ -650,15 +639,16 @@ mod tests {
         assert_eq!(seeds, vec![0, 1, 2]);
     }
 
-    #[test]
-    fn affinity_groups_same_model_jobs_and_priority_preempts() {
-        // Two genuinely different artifacts. One worker; a blocker on
-        // model A holds it while we queue interleaved traffic.
-        let a = fitted(3);
-        let b = fitted(4);
+    /// A one-worker scheduler over two genuinely different artifacts,
+    /// with the worker pinned inside a blocker job on model `a` so every
+    /// later submission queues. Release the blocker to drain.
+    fn pinned_two_model_scheduler(
+        a: &Vrdag,
+        b: &Vrdag,
+    ) -> (Scheduler, std::sync::mpsc::Sender<()>) {
         let registry = ModelRegistry::new();
-        registry.register("a", &a).unwrap();
-        registry.register("b", &b).unwrap();
+        registry.register("a", a).unwrap();
+        registry.register("b", b).unwrap();
         let mut scheduler =
             Scheduler::with_config(registry, ServeConfig { workers: 1, ..Default::default() })
                 .unwrap();
@@ -666,40 +656,50 @@ mod tests {
         let (release_tx, release_rx) = std::sync::mpsc::channel();
         scheduler.submit(blocking_request("a", 0, started_tx, release_rx)).unwrap();
         started_rx.recv().unwrap();
-        // Equal-priority interleaved jobs: affinity should drain all of
-        // model a before touching model b.
+        (scheduler, release_tx)
+    }
+
+    /// Completion order of everything after the blocker.
+    fn drained_order(mut scheduler: Scheduler, release: std::sync::mpsc::Sender<()>) -> Vec<JobId> {
+        release.send(()).unwrap();
+        let report = scheduler.join().unwrap();
+        assert!(report.all_ok(), "{}", report.render());
+        report.jobs[1..].iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn priority_beats_arrival_and_equal_priority_is_fifo_across_models() {
+        let a = fitted(3);
+        let b = fitted(4);
+
+        // Equal priority: arrival order, whatever the model.
+        let (mut scheduler, release) = pinned_two_model_scheduler(&a, &b);
         let a1 = scheduler.submit(GenRequest::new("a", 1, 1, GenSink::Discard)).unwrap();
         let b1 = scheduler.submit(GenRequest::new("b", 1, 2, GenSink::Discard)).unwrap();
         let a2 = scheduler.submit(GenRequest::new("a", 1, 3, GenSink::Discard)).unwrap();
         let b2 = scheduler.submit(GenRequest::new("b", 1, 4, GenSink::Discard)).unwrap();
-        release_tx.send(()).unwrap();
-        let report = scheduler.join().unwrap();
-        assert!(report.all_ok(), "{}", report.render());
-        let order: Vec<JobId> = report.jobs.iter().map(|j| j.id).collect();
-        // Completion order: blocker, then a's batch, then b's batch.
-        assert_eq!(order[1..], [a1, a2, b1, b2], "{}", report.render());
-        assert_eq!(report.affinity.batches, 2, "{:?}", report.affinity);
-        assert_eq!(report.affinity.max_batch_len, 3);
+        assert_eq!(drained_order(scheduler, release), [a1, b1, a2, b2]);
 
-        // Second scheduler: a higher-priority model b job beats affinity.
-        let registry = ModelRegistry::new();
-        registry.register("a", &a).unwrap();
-        registry.register("b", &b).unwrap();
-        let mut scheduler =
-            Scheduler::with_config(registry, ServeConfig { workers: 1, ..Default::default() })
-                .unwrap();
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        scheduler.submit(blocking_request("a", 0, started_tx, release_rx)).unwrap();
-        started_rx.recv().unwrap();
+        // A later, higher-priority job on another model runs first.
+        let (mut scheduler, release) = pinned_two_model_scheduler(&a, &b);
         let low = scheduler.submit(GenRequest::new("a", 1, 1, GenSink::Discard)).unwrap();
         let high = scheduler
             .submit(GenRequest::new("b", 1, 2, GenSink::Discard).with_priority(5))
             .unwrap();
-        release_tx.send(()).unwrap();
-        let report = scheduler.join().unwrap();
-        assert!(report.all_ok(), "{}", report.render());
-        let order: Vec<JobId> = report.jobs.iter().map(|j| j.id).collect();
-        assert_eq!(order[1..], [high, low], "priority must beat affinity");
+        assert_eq!(drained_order(scheduler, release), [high, low], "priority beats arrival");
+    }
+
+    #[test]
+    fn higher_priority_runs_first_within_one_model() {
+        // docs/PROTOCOL.md: higher priority runs earlier within the
+        // submitting tenant — also when both jobs target the same model.
+        let a = fitted(3);
+        let b = fitted(4);
+        let (mut scheduler, release) = pinned_two_model_scheduler(&a, &b);
+        let low = scheduler.submit(GenRequest::new("a", 1, 1, GenSink::Discard)).unwrap();
+        let high = scheduler
+            .submit(GenRequest::new("a", 1, 2, GenSink::Discard).with_priority(5))
+            .unwrap();
+        assert_eq!(drained_order(scheduler, release), [high, low]);
     }
 }

@@ -2,8 +2,8 @@
 //! worker and on 2 workers, with correctness asserted (identical
 //! outputs either way) and the speedup printed.
 //!
-//! Intended for CI's multi-core runners — the dev container is
-//! single-CPU, where 2 workers legitimately cannot beat 1. Timing is
+//! Intended for CI's multi-core runners — on a host with fewer free
+//! cores than workers, 2 workers legitimately cannot beat 1. Timing is
 //! therefore *reported*, and the run only fails on an egregious
 //! regression (2 workers slower than 1 by more than the generous
 //! [`REGRESSION_FACTOR`]), never on a missed speedup — CI boxes are

@@ -101,7 +101,6 @@ fn main() {
     print!("{}", report.render());
     assert!(report.all_ok());
     assert!(report.cache.hits > 0, "repeated seeds must hit the snapshot cache");
-    assert!(report.affinity.max_batch_len > 1, "same-model jobs batch onto one instance");
     assert!(report.latency.p99_seconds >= report.latency.p50_seconds);
     // Cached and cold generations are identical.
     let cold = vrdag_suite::graph::io::load_tsv(dir.join("gen-2.tsv")).unwrap();

@@ -384,6 +384,14 @@ fn backend_death_retries_gens_and_fails_streams_cleanly() {
     client
         .send(&Request::Gen(GenSpec::new("m", 3, seed_on_b, WireFormat::Bin).with_tag("g1")))
         .unwrap();
+    // Wait until the router has relayed the GEN to B (both jobs queued
+    // behind the blocker): a GEN still unrelayed when B dies is placed
+    // on A directly, never retried.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while b.handle.queue_depth() < 2 {
+        assert!(std::time::Instant::now() < deadline, "the GEN never reached backend B");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // Kill B while both are in flight.
     b.frontend.shutdown();

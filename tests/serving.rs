@@ -157,23 +157,21 @@ fn facade_prelude_exposes_the_serving_surface() {
 }
 
 #[test]
-fn affinity_batching_matches_per_job_scheduling() {
-    // N same-model jobs drained with model-affinity batching must produce
-    // exactly the sequences that one-scheduler-per-job scheduling (a pool
-    // that can never batch) produces for the same seeds.
+fn pooled_scheduling_matches_per_job_scheduling() {
+    // N same-model jobs drained by a shared two-worker pool must produce
+    // exactly the sequences that one-scheduler-per-job scheduling
+    // produces for the same seeds.
     let model = fitted_model(7);
     let seeds: Vec<u64> = (0..6).collect();
 
     let registry = ModelRegistry::new();
     registry.register("m", &model).unwrap();
-    let mut batched = Scheduler::new(registry.clone(), 2).unwrap();
+    let mut pooled = Scheduler::new(registry.clone(), 2).unwrap();
     for &seed in &seeds {
-        batched.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap();
+        pooled.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap();
     }
-    let report = batched.join().unwrap();
+    let report = pooled.join().unwrap();
     assert!(report.all_ok(), "{}", report.render());
-    assert!(report.affinity.batches >= 1);
-    assert!(report.affinity.max_batch_len >= 2, "{:?}", report.affinity);
 
     for &seed in &seeds {
         let mut solo = Scheduler::new(registry.clone(), 1).unwrap();
@@ -181,8 +179,8 @@ fn affinity_batching_matches_per_job_scheduling() {
         let solo_report = solo.join().unwrap();
         assert!(solo_report.all_ok(), "{}", solo_report.render());
         let expected = solo_report.jobs[0].graph.as_deref().unwrap();
-        let batched_job = report.jobs.iter().find(|j| j.seed == seed).unwrap();
-        assert_eq!(batched_job.graph.as_deref().unwrap(), expected, "seed {seed}");
+        let pooled_job = report.jobs.iter().find(|j| j.seed == seed).unwrap();
+        assert_eq!(pooled_job.graph.as_deref().unwrap(), expected, "seed {seed}");
     }
 }
 
