@@ -597,6 +597,35 @@ mod tests {
         assert!(!x.value_clone().has_non_finite());
     }
 
+    /// FNV-1a digest of an edge list (little-endian `u32` pairs).
+    fn edge_digest(edges: &[(u32, u32)]) -> u64 {
+        let bytes: Vec<u8> = edges
+            .iter()
+            .flat_map(|&(u, v)| u.to_le_bytes().into_iter().chain(v.to_le_bytes()))
+            .collect();
+        crate::artifact_fingerprint(&bytes)
+    }
+
+    /// Pinned output of the decode at the default decoder dims (d_s = 48,
+    /// hidden 32, K = 3) and N = 95, with and without calibration, at one
+    /// and three threads. Any change to the kernel's arithmetic order moves
+    /// these digests.
+    #[test]
+    fn generate_edges_matches_golden_digests() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let plan = MixBernoulliDecoder::new(48, 32, 3, 0.2, &mut rng).plan();
+        let s = Matrix::rand_normal(95, 48, 0.0, 1.0, &mut rng);
+        for threads in [1, 3] {
+            let calibrated = par::with_threads(threads, || plan.generate_edges(&s, Some(400.0), 7));
+            let raw = par::with_threads(threads, || plan.generate_edges(&s, None, 8));
+            assert_eq!(
+                [(calibrated.len(), edge_digest(&calibrated)), (raw.len(), edge_digest(&raw))],
+                [(387, 0x621c_be20_6f62_4051), (1064, 0x97e1_a841_d3c3_31e3)],
+                "{threads} threads"
+            );
+        }
+    }
+
     #[test]
     fn splitmix_is_stable() {
         assert_eq!(splitmix64(0), splitmix64(0));
