@@ -1,14 +1,17 @@
 //! The headline comparison at micro scale: VRDAG's one-shot snapshot
 //! decode vs. walk-based sampling + merging (TIGGER-like) for the same
 //! edge budget — the algorithmic asymmetry behind Fig. 9 and Tables
-//! III/IV.
+//! III/IV. The `decode_plan` group times the quadratic layer on its own
+//! at the default decoder dims.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vrdag::decoder::MixBernoulliDecoder;
 use vrdag::{Vrdag, VrdagConfig};
 use vrdag_baselines::TiggerLike;
 use vrdag_graph::DynamicGraphGenerator;
+use vrdag_tensor::{par, Matrix};
 
 fn bench_generation(c: &mut Criterion) {
     let spec = vrdag_datasets::email().scaled(0.05);
@@ -39,5 +42,33 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generation);
+/// `DecodePlan::generate_edges` on one thread at the default decoder dims
+/// (K=3 components, hidden 32, d_s=48), calibrated to the Email edge rate,
+/// at N=95 and N=378 (Email ×0.05 and ×0.2). Weights and states are random
+/// with fixed seeds; the decode's cost depends on N and the dims, not on
+/// training.
+fn bench_decode_plan(c: &mut Criterion) {
+    let cfg = VrdagConfig::default();
+    let mut group = c.benchmark_group("decode_plan");
+    group.sample_size(10);
+    for scale in [0.05, 0.2] {
+        let graph = vrdag_datasets::generate(&vrdag_datasets::email().scaled(scale), 11);
+        let n = graph.n_nodes();
+        let m_target = graph.temporal_edge_count() as f64 / graph.t_len() as f64;
+        let mut rng = StdRng::seed_from_u64(3);
+        let d_s = cfg.d_s();
+        let plan =
+            MixBernoulliDecoder::new(d_s, cfg.decoder_hidden, cfg.k_mix, cfg.leaky_slope, &mut rng)
+                .plan();
+        let s = Matrix::rand_normal(n, d_s, 0.0, 1.0, &mut rng);
+        group.bench_with_input(BenchmarkId::new("n", n), &s, |b, s| {
+            b.iter(|| {
+                par::with_threads(1, || black_box(plan.generate_edges(s, Some(m_target), 5)))
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_decode_plan);
 criterion_main!(benches);

@@ -6,10 +6,15 @@
 //! Training evaluates the pairwise MLPs `f_α`, `f_θ` on *sampled* pairs
 //! (positives + `Q` negatives per node, with importance weights that keep
 //! the expected loss equal to the full-matrix BCE of Eq. 17). Generation
-//! evaluates **all** `N²` pairs using the difference factorization: the
-//! first Linear layer distributes over `s_i − s_j`, so `W·s_i` is
-//! precomputed once and each pair costs only `O(h + hK)` — the CPU analogue
-//! of the paper's batched GPU decode.
+//! ([`DecodePlan::generate_edges`]) evaluates **all** `N(N−1)` ordered
+//! pairs, the CPU analogue of the paper's batched GPU decode. The first
+//! Linear layer distributes over `s_i − s_j`, so `S·W1` is computed once
+//! per snapshot. The pair loop is a lane kernel: eight destination nodes
+//! `j` run side by side in vector registers, each lane repeating the
+//! scalar per-pair arithmetic exactly, so the output bytes do not depend
+//! on the vector width or the thread count. [`DecodePlan`] describes the
+//! layout and the transformations that are ruled out because they would
+//! change the bytes.
 
 // Index-based loops below walk several parallel arrays in hot paths;
 // iterator zips would obscure them. (clippy::needless_range_loop)
@@ -17,6 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
 use std::rc::Rc;
 use vrdag_graph::Snapshot;
 use vrdag_tensor::nn::{Activation, Linear, Mlp};
@@ -171,14 +177,8 @@ impl MixBernoulliDecoder {
     /// the autograd tensors on every `generate_edges` call.
     pub fn plan(&self) -> DecodePlan {
         DecodePlan {
-            w1a: self.f_alpha.layer(0).weight.value_clone(),
-            b1a: self.f_alpha.layer(0).bias.value_clone(),
-            w2a: self.f_alpha.layer(1).weight.value_clone(),
-            b2a: self.f_alpha.layer(1).bias.value_clone(),
-            w1t: self.f_theta.layer(0).weight.value_clone(),
-            b1t: self.f_theta.layer(0).bias.value_clone(),
-            w2t: self.f_theta.layer(1).weight.value_clone(),
-            b2t: self.f_theta.layer(1).bias.value_clone(),
+            alpha: HeadWeights::of(&self.f_alpha),
+            theta: HeadWeights::of(&self.f_theta),
             k: self.k,
             slope: self.slope,
         }
@@ -200,25 +200,201 @@ impl MixBernoulliDecoder {
     }
 }
 
+/// Destination nodes evaluated together by the decode kernel: one lane
+/// per `j`. Eight `f32` lanes fill two 128-bit vector registers (the
+/// x86-64 baseline) or one 256-bit register.
+const LANES: usize = 8;
+
 /// Decode-time snapshot of the [`MixBernoulliDecoder`] weights.
 ///
 /// The weights are fixed for the whole of a generation job, so the serving
 /// hot path materializes them out of the `Rc`-based autograd tensors once
-/// (`MixBernoulliDecoder::plan`) and reuses the buffers for every snapshot —
-/// part of the per-step arena reuse, alongside the `OnceLock`-cached CSR
-/// builds in `vrdag_graph::Snapshot`.
+/// (`MixBernoulliDecoder::plan`) and reuses them for every snapshot. Each
+/// second-layer matrix is stored transposed, so every mixture component's
+/// weights are one contiguous row of length `h`.
+///
+/// # The lane kernel
+///
+/// [`DecodePlan::generate_edges`] evaluates all `N(N−1)` ordered pairs.
+/// The first Linear layer distributes over `s_i − s_j`, so `U = S·W1` is
+/// computed once per call and a pair's hidden layer is
+/// `leaky((u_i − u_j) + b1)`. The kernel vectorizes *across destination
+/// nodes*: `U` is also laid out as `[⌈N/8⌉][h][8]` blocks (padding lanes
+/// zero), and row `i` of `U` and `b1` are broadcast to all eight lanes.
+/// One helper computes, for row `i` and one block of eight `j`s, the
+/// hidden layer and then each requested component's logit
+/// `o = b2[k]; o += hidden[x] · W2ᵀ[k][x]` for `x` ascending. Each lane
+/// runs exactly the per-pair scalar sequence of operations, so the output
+/// bytes are the scalar decode's bytes:
+///
+/// - every step is an elementwise IEEE-754 `f32` operation (subtract, add,
+///   compare, multiply), correctly rounded whether it runs in a scalar or
+///   a vector register;
+/// - Rust never contracts `a * b + c` into a fused multiply-add;
+/// - each lane's sum runs over `x` in the same fixed order, and the
+///   per-row `f64` folds (`Σ_j` of logits and of θ) run over `j` in
+///   ascending order, skipping `j = i` and the padding lanes.
+///
+/// Ruled out, because they would move the bytes: `mul_add`/FMA,
+/// reassociated or tree-shaped sums (including splitting the `x` loop into
+/// partial accumulators), and an approximate or vectorized `exp`. Also
+/// ruled out: `target-cpu` flags or a `.cargo/config`, which would tie the
+/// build and its bytes to one host's instruction set.
+///
+/// The sigmoid of pass A (calibration) stays in `f32` and the one of
+/// pass B in `f64`, as in the scalar decode; both call the platform `exp`
+/// once per lane.
 #[derive(Clone, Debug)]
 pub struct DecodePlan {
-    w1a: Matrix,
-    b1a: Matrix,
-    w2a: Matrix,
-    b2a: Matrix,
-    w1t: Matrix,
-    b1t: Matrix,
-    w2t: Matrix,
-    b2t: Matrix,
+    alpha: HeadWeights,
+    theta: HeadWeights,
     k: usize,
     slope: f32,
+}
+
+/// Weights of one pairwise MLP (`f_α` or `f_θ`): `[d_s, h]` → `[h, K]`.
+#[derive(Clone, Debug)]
+struct HeadWeights {
+    w1: Matrix,
+    b1: Matrix,
+    /// Second-layer weights, transposed to `[K, h]`.
+    w2t: Matrix,
+    b2: Matrix,
+}
+
+impl HeadWeights {
+    fn of(mlp: &Mlp) -> Self {
+        HeadWeights {
+            w1: mlp.layer(0).weight.value_clone(),
+            b1: mlp.layer(0).bias.value_clone(),
+            w2t: mlp.layer(1).weight.value_clone().transpose(),
+            b2: mlp.layer(1).bias.value_clone(),
+        }
+    }
+
+    fn hidden(&self) -> usize {
+        self.w1.cols()
+    }
+
+    /// First layer applied to every node of `s`, laid out for the kernel.
+    fn lanes(&self, s: &Matrix) -> LaneHead<'_> {
+        let h = self.hidden();
+        let u = s.matmul(&self.w1);
+        let mut blocks = vec![[0.0f32; LANES]; u.rows().div_ceil(LANES) * h];
+        for j in 0..u.rows() {
+            let (block, lane) = (j / LANES, j % LANES);
+            for (x, &v) in u.row(j).iter().enumerate() {
+                blocks[block * h + x][lane] = v;
+            }
+        }
+        let b1 = self.b1.data().iter().map(|&b| [b; LANES]).collect();
+        LaneHead { w: self, u, blocks, b1 }
+    }
+}
+
+/// One head ready for the lane kernel. Every operand of the hidden layer
+/// is an `[h][8]` array, so the kernel's first loop is one elementwise
+/// pass over contiguous memory.
+struct LaneHead<'a> {
+    w: &'a HeadWeights,
+    /// `U = S·W1`, row-major; a source row is broadcast per row
+    /// ([`LaneHead::source_row`]).
+    u: Matrix,
+    /// `U` lane-blocked as `[⌈n/8⌉][h][8]`, padding lanes zero: the
+    /// destinations `j`.
+    blocks: Vec<[f32; LANES]>,
+    /// `b1` broadcast to every lane.
+    b1: Vec<[f32; LANES]>,
+}
+
+impl LaneHead<'_> {
+    /// Row `i` of `U` broadcast to every lane.
+    fn source_row(&self, i: usize, out: &mut [[f32; LANES]]) {
+        for (o, &v) in out.iter_mut().zip(self.u.row(i)) {
+            *o = [v; LANES];
+        }
+    }
+}
+
+/// Per-worker scratch of one decode pass, reused across that worker's rows.
+struct Scratch {
+    /// The current row of `U` for `f_α` and for `f_θ`, broadcast, `[h][8]`.
+    row_alpha: Vec<[f32; LANES]>,
+    row_theta: Vec<[f32; LANES]>,
+    /// Hidden activations of one lane block, `[h][8]`.
+    hidden: Vec<[f32; LANES]>,
+    /// Logits of the requested components for one lane block, `[K][8]`.
+    logits: Vec<[f32; LANES]>,
+    /// θ logits of one lane block when pass A calibrates, `[K][8]`.
+    theta: Vec<[f32; LANES]>,
+    /// One row's `f64` folds over `j`: `Σ_j` logit, then `Σ_j` θ, `[2K]`.
+    sums: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(h: usize, k: usize) -> Self {
+        Scratch {
+            row_alpha: vec![[0.0; LANES]; h],
+            row_theta: vec![[0.0; LANES]; h],
+            hidden: vec![[0.0; LANES]; h],
+            logits: vec![[0.0; LANES]; k],
+            theta: vec![[0.0; LANES]; k],
+            sums: vec![0.0; 2 * k],
+        }
+    }
+}
+
+/// The kernel: logits of components `ks` for one source row (`u_i`, from
+/// [`LaneHead::source_row`]) against the eight destinations of lane block
+/// `block`, written to `logits[0..]`. Each lane performs the scalar
+/// per-pair sequence exactly (see [`DecodePlan`]).
+///
+/// The hidden layer is one flat elementwise loop over `[h][8]` arrays, and
+/// the compiler vectorizes it along memory. Written as nested loops over
+/// `x` and then the lanes, it would be vectorized across `x` instead, with
+/// strided loads, at about half the speed.
+#[inline(always)]
+fn block_logits(
+    head: &LaneHead<'_>,
+    u_i: &[[f32; LANES]],
+    block: usize,
+    ks: Range<usize>,
+    slope: f32,
+    hidden: &mut [[f32; LANES]],
+    logits: &mut [[f32; LANES]],
+) {
+    let h = hidden.len();
+    let u_j = &head.blocks[block * h..(block + 1) * h];
+    let operands = u_i.as_flattened().iter().zip(u_j.as_flattened()).zip(head.b1.as_flattened());
+    for (hq, ((&ui, &uj), &b1)) in hidden.as_flattened_mut().iter_mut().zip(operands) {
+        let v = ui - uj + b1;
+        *hq = if v > 0.0 { v } else { slope * v };
+    }
+    for (out, kk) in logits.iter_mut().zip(ks) {
+        let w = head.w.w2t.row(kk);
+        let mut o = [head.w.b2.data()[kk]; LANES];
+        for (hx, &wx) in hidden.iter().zip(w) {
+            for l in 0..LANES {
+                o[l] += hx[l] * wx;
+            }
+        }
+        *out = o;
+    }
+}
+
+/// Row `i`'s real destinations in lane block `block`: `(lane, j)` pairs in
+/// ascending `j`, without `j = i` and without padding lanes.
+fn block_targets(i: usize, block: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let first = block * LANES;
+    (0..LANES.min(n - first)).map(move |l| (l, first + l)).filter(move |&(_, j)| j != i)
+}
+
+/// Pass A's result for one row: the mixture weights α (Eq. 11) and, when
+/// calibrating, the row's expected edge mass `Σ_k α_k Σ_j θ_kj`.
+#[derive(Default, Clone)]
+struct RowStat {
+    alpha: Vec<f32>,
+    expected: f64,
 }
 
 impl DecodePlan {
@@ -228,87 +404,21 @@ impl DecodePlan {
     /// calibrates the expected edge count (see `VrdagConfig::
     /// calibrate_density`); `seed` drives deterministic per-row RNG so the
     /// parallel decode is reproducible regardless of thread count: each row
-    /// derives its own `splitmix64` stream from the job seed and the inner
-    /// float loops run in serial per-row order, so chunk boundaries chosen
-    /// by `par::num_threads()` never change the output bytes.
+    /// derives its own `splitmix64` stream from the job seed and every
+    /// per-row fold runs in ascending `j`, so chunk boundaries chosen by
+    /// `par::num_threads()` never change the output bytes. The pairwise
+    /// arithmetic runs in the lane kernel described on [`DecodePlan`].
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
         let n = s.rows();
         if n < 2 {
             return Vec::new();
         }
-        let k = self.k;
-        let (w2a, b1a, b2a) = (&self.w2a, &self.b1a, &self.b2a);
-        let (w2t, b1t, b2t) = (&self.w2t, &self.b1t, &self.b2t);
-        // First-layer precompute: U = S·W1 (+ b1 at pair time).
-        let h = self.w1a.cols();
-        let ua = s.matmul(&self.w1a);
-        let ut = s.matmul(&self.w1t);
+        let h = self.alpha.hidden();
+        let blocks = n.div_ceil(LANES);
+        let alpha_head = self.alpha.lanes(s);
+        let theta_head = self.theta.lanes(s);
         let slope = self.slope;
-        let calibrate = m_target.is_some();
-
-        // Pass A: exact mixture weights per row (Eq. 11's Σ_j), plus — when
-        // calibrating — the expected edge mass per row.
-        struct RowStat {
-            alpha: Vec<f32>,
-            expected: f64,
-        }
-        impl Default for RowStat {
-            fn default() -> Self {
-                RowStat { alpha: Vec::new(), expected: 0.0 }
-            }
-        }
-        impl Clone for RowStat {
-            fn clone(&self) -> Self {
-                RowStat { alpha: self.alpha.clone(), expected: self.expected }
-            }
-        }
-        let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
-            let mut acc = vec![0.0f64; k];
-            let mut theta_sum = vec![0.0f64; k];
-            let ua_i = ua.row(i);
-            let ut_i = ut.row(i);
-            let mut ha = vec![0.0f32; h];
-            let mut ht = vec![0.0f32; h];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let ua_j = ua.row(j);
-                for x in 0..h {
-                    let v = ua_i[x] - ua_j[x] + b1a.data()[x];
-                    ha[x] = if v > 0.0 { v } else { slope * v };
-                }
-                for kk in 0..k {
-                    let mut o = b2a.data()[kk];
-                    for x in 0..h {
-                        o += ha[x] * w2a.get(x, kk);
-                    }
-                    acc[kk] += o as f64;
-                }
-                if calibrate {
-                    let ut_j = ut.row(j);
-                    for x in 0..h {
-                        let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                        ht[x] = if v > 0.0 { v } else { slope * v };
-                    }
-                    for kk in 0..k {
-                        let mut o = b2t.data()[kk];
-                        for x in 0..h {
-                            o += ht[x] * w2t.get(x, kk);
-                        }
-                        theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
-                    }
-                }
-            }
-            // Softmax over K.
-            let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
-            let z: f64 = exps.iter().sum();
-            let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
-            let expected: f64 =
-                alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-            RowStat { alpha, expected }
-        });
+        let stats = self.row_stats(&alpha_head, &theta_head, m_target.is_some());
 
         let c = match m_target {
             Some(target) => {
@@ -324,37 +434,34 @@ impl DecodePlan {
 
         // Pass B: choose a mixture component per row and Bernoulli-sample
         // its adjacency list (rows are independent given α — the paper's
-        // "different rows can be computed in parallel").
-        let rows: Vec<Vec<u32>> = par::par_map_collect(n, 1, |i| {
-            let mut rng = StdRng::seed_from_u64(splitmix64(
-                seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            let alpha = &stats[i].alpha;
-            let kk = sample_categorical(alpha, &mut rng);
-            let ut_i = ut.row(i);
-            let mut out = Vec::new();
-            let mut ht = vec![0.0f32; h];
-            for j in 0..n {
-                if j == i {
-                    continue;
+        // "different rows can be computed in parallel"). One uniform draw
+        // per destination, in ascending `j`.
+        let rows: Vec<Vec<u32>> = par::par_map_collect_with(
+            n,
+            1,
+            || Scratch::new(h, 1),
+            |sc, i| {
+                let mut rng = StdRng::seed_from_u64(splitmix64(
+                    seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ));
+                let kk = sample_categorical(&stats[i].alpha, &mut rng);
+                theta_head.source_row(i, &mut sc.row_theta);
+                let mut out = Vec::new();
+                for b in 0..blocks {
+                    let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
+                    block_logits(&theta_head, row, b, kk..kk + 1, slope, hidden, &mut sc.logits);
+                    for (l, j) in block_targets(i, b, n) {
+                        let o = sc.logits[0][l];
+                        let theta = 1.0 / (1.0 + (-o as f64).exp());
+                        let p = (c * theta).min(1.0);
+                        if (rng.gen::<f64>()) < p {
+                            out.push(j as u32);
+                        }
+                    }
                 }
-                let ut_j = ut.row(j);
-                for x in 0..h {
-                    let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                    ht[x] = if v > 0.0 { v } else { slope * v };
-                }
-                let mut o = b2t.data()[kk];
-                for x in 0..h {
-                    o += ht[x] * w2t.get(x, kk);
-                }
-                let theta = 1.0 / (1.0 + (-o as f64).exp());
-                let p = (c * theta).min(1.0);
-                if (rng.gen::<f64>()) < p {
-                    out.push(j as u32);
-                }
-            }
-            out
-        });
+                out
+            },
+        );
 
         let mut edges = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
         for (i, dsts) in rows.into_iter().enumerate() {
@@ -363,6 +470,60 @@ impl DecodePlan {
             }
         }
         edges
+    }
+
+    /// Pass A: exact mixture weights per row (Eq. 11's `Σ_j`), plus — when
+    /// calibrating — the expected edge mass per row.
+    fn row_stats(
+        &self,
+        alpha_head: &LaneHead<'_>,
+        theta_head: &LaneHead<'_>,
+        calibrate: bool,
+    ) -> Vec<RowStat> {
+        let (n, k, h, slope) = (alpha_head.u.rows(), self.k, self.alpha.hidden(), self.slope);
+        let blocks = n.div_ceil(LANES);
+        par::par_map_collect_with(
+            n,
+            1,
+            || Scratch::new(h, k),
+            |sc, i| {
+                sc.sums.fill(0.0);
+                let (acc, theta_sum) = sc.sums.split_at_mut(k);
+                alpha_head.source_row(i, &mut sc.row_alpha);
+                if calibrate {
+                    theta_head.source_row(i, &mut sc.row_theta);
+                }
+                for b in 0..blocks {
+                    let (row, hidden) = (&sc.row_alpha, &mut sc.hidden);
+                    block_logits(alpha_head, row, b, 0..k, slope, hidden, &mut sc.logits);
+                    if calibrate {
+                        let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
+                        block_logits(theta_head, row, b, 0..k, slope, hidden, &mut sc.theta);
+                    }
+                    for (l, _) in block_targets(i, b, n) {
+                        for kk in 0..k {
+                            acc[kk] += sc.logits[kk][l] as f64;
+                        }
+                        if calibrate {
+                            for kk in 0..k {
+                                let o = sc.theta[kk][l];
+                                theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                            }
+                        }
+                    }
+                }
+                // Softmax over K, exponentiating the sums in place.
+                let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                for a in acc.iter_mut() {
+                    *a = (*a - mx).exp();
+                }
+                let z: f64 = acc.iter().sum();
+                let alpha: Vec<f32> = acc.iter().map(|&e| (e / z) as f32).collect();
+                let expected: f64 =
+                    alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
+                RowStat { alpha, expected }
+            },
+        )
     }
 }
 
@@ -472,9 +633,242 @@ pub fn gat_arrays(n: usize, edges: &[(u32, u32)]) -> (Rc<Vec<u32>>, Rc<Vec<u32>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vrdag_tensor::no_grad;
+
+    /// The scalar per-pair decode the lane kernel replaced, kept verbatim
+    /// (apart from reading the plan's weights and also returning pass A's
+    /// row statistics) as the kernel's oracle: every pair's hidden layer
+    /// and logits run as serial scalar chains.
+    fn scalar_reference(
+        plan: &DecodePlan,
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> (Vec<RowStat>, Vec<(u32, u32)>) {
+        let n = s.rows();
+        if n < 2 {
+            return (Vec::new(), Vec::new());
+        }
+        let k = plan.k;
+        let (w2a, b1a, b2a) = (&plan.alpha.w2t.transpose(), &plan.alpha.b1, &plan.alpha.b2);
+        let (w2t, b1t, b2t) = (&plan.theta.w2t.transpose(), &plan.theta.b1, &plan.theta.b2);
+        // First-layer precompute: U = S·W1 (+ b1 at pair time).
+        let h = plan.alpha.w1.cols();
+        let ua = s.matmul(&plan.alpha.w1);
+        let ut = s.matmul(&plan.theta.w1);
+        let slope = plan.slope;
+        let calibrate = m_target.is_some();
+
+        let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
+            let mut acc = vec![0.0f64; k];
+            let mut theta_sum = vec![0.0f64; k];
+            let ua_i = ua.row(i);
+            let ut_i = ut.row(i);
+            let mut ha = vec![0.0f32; h];
+            let mut ht = vec![0.0f32; h];
+            for j in 0..n {
+                if j == i {
+                    continue;
+                }
+                let ua_j = ua.row(j);
+                for x in 0..h {
+                    let v = ua_i[x] - ua_j[x] + b1a.data()[x];
+                    ha[x] = if v > 0.0 { v } else { slope * v };
+                }
+                for kk in 0..k {
+                    let mut o = b2a.data()[kk];
+                    for x in 0..h {
+                        o += ha[x] * w2a.get(x, kk);
+                    }
+                    acc[kk] += o as f64;
+                }
+                if calibrate {
+                    let ut_j = ut.row(j);
+                    for x in 0..h {
+                        let v = ut_i[x] - ut_j[x] + b1t.data()[x];
+                        ht[x] = if v > 0.0 { v } else { slope * v };
+                    }
+                    for kk in 0..k {
+                        let mut o = b2t.data()[kk];
+                        for x in 0..h {
+                            o += ht[x] * w2t.get(x, kk);
+                        }
+                        theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                    }
+                }
+            }
+            // Softmax over K.
+            let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
+            let z: f64 = exps.iter().sum();
+            let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
+            let expected: f64 =
+                alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
+            RowStat { alpha, expected }
+        });
+
+        let c = match m_target {
+            Some(target) => {
+                let e_total: f64 = stats.iter().map(|r| r.expected).sum();
+                if e_total > 1e-9 {
+                    (target / e_total).clamp(1e-4, 1e4)
+                } else {
+                    1.0
+                }
+            }
+            None => 1.0,
+        };
+
+        let rows: Vec<Vec<u32>> = par::par_map_collect(n, 1, |i| {
+            let mut rng = StdRng::seed_from_u64(splitmix64(
+                seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ));
+            let alpha = &stats[i].alpha;
+            let kk = sample_categorical(alpha, &mut rng);
+            let ut_i = ut.row(i);
+            let mut out = Vec::new();
+            let mut ht = vec![0.0f32; h];
+            for j in 0..n {
+                if j == i {
+                    continue;
+                }
+                let ut_j = ut.row(j);
+                for x in 0..h {
+                    let v = ut_i[x] - ut_j[x] + b1t.data()[x];
+                    ht[x] = if v > 0.0 { v } else { slope * v };
+                }
+                let mut o = b2t.data()[kk];
+                for x in 0..h {
+                    o += ht[x] * w2t.get(x, kk);
+                }
+                let theta = 1.0 / (1.0 + (-o as f64).exp());
+                let p = (c * theta).min(1.0);
+                if (rng.gen::<f64>()) < p {
+                    out.push(j as u32);
+                }
+            }
+            out
+        });
+
+        let mut edges = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
+        for (i, dsts) in rows.into_iter().enumerate() {
+            for j in dsts {
+                edges.push((i as u32, j));
+            }
+        }
+        (stats, edges)
+    }
+
+    /// One pair's logit for component `kk`, in the scalar decode's order.
+    fn scalar_logit(w: &HeadWeights, u: &Matrix, i: usize, j: usize, kk: usize, slope: f32) -> f32 {
+        let w2 = w.w2t.transpose();
+        let mut o = w.b2.data()[kk];
+        for x in 0..u.cols() {
+            let v = u.row(i)[x] - u.row(j)[x] + w.b1.data()[x];
+            let hx = if v > 0.0 { v } else { slope * v };
+            o += hx * w2.get(x, kk);
+        }
+        o
+    }
+
+    /// Row statistics as raw bits, so a last-place rounding difference
+    /// fails the comparison.
+    fn stat_bits(stats: &[RowStat]) -> Vec<(Vec<u32>, u64)> {
+        stats
+            .iter()
+            .map(|r| (r.alpha.iter().map(|a| a.to_bits()).collect(), r.expected.to_bits()))
+            .collect()
+    }
+
+    /// The lane kernel against the scalar decode on one decoder:
+    ///
+    /// - every lane's logit has the scalar pair logit's bits, for all
+    ///   components at once (pass A) and for one at a time (pass B);
+    /// - pass A's row statistics have the oracle's bits;
+    /// - the edge lists are equal, with and without calibration, at one
+    ///   and three threads.
+    ///
+    /// The bitwise checks matter: a last-place change to a logit almost
+    /// never flips a Bernoulli draw, so equal edge lists alone would not
+    /// catch a reassociated sum or a fused multiply-add.
+    fn assert_kernel_matches_oracle(n: usize, k: usize, h: usize, d_s: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slope = rng.gen_range(0.0f32..0.5);
+        let mut plan = MixBernoulliDecoder::new(d_s, h, k, slope, &mut rng).plan();
+        // Fresh layers have zero first-layer biases; random ones make the
+        // order of `(u_i − u_j) + b1` observable.
+        for w in [&mut plan.alpha, &mut plan.theta] {
+            w.b1 = Matrix::rand_uniform(1, h, -1.0, 1.0, &mut rng);
+            w.b2 = Matrix::rand_uniform(1, k, -3.0, 1.0, &mut rng);
+        }
+        let s = Matrix::rand_uniform(n, d_s, -2.0, 2.0, &mut rng);
+        let case = format!("n={n} k={k} h={h} d_s={d_s} seed={seed}");
+        let (alpha, theta) = (plan.alpha.lanes(&s), plan.theta.lanes(&s));
+        let mut u_i = vec![[0.0; LANES]; h];
+        let mut hidden = vec![[0.0; LANES]; h];
+        let mut logits = vec![[0.0; LANES]; k];
+        for head in [&alpha, &theta] {
+            for i in 0..n {
+                head.source_row(i, &mut u_i);
+                for b in 0..n.div_ceil(LANES) {
+                    block_logits(head, &u_i, b, 0..k, slope, &mut hidden, &mut logits);
+                    let all = logits.clone();
+                    for kk in 0..k {
+                        block_logits(head, &u_i, b, kk..kk + 1, slope, &mut hidden, &mut logits);
+                        for (l, j) in (0..LANES).map(|l| (l, b * LANES + l)).filter(|&(_, j)| j < n)
+                        {
+                            let want = scalar_logit(head.w, &head.u, i, j, kk, slope).to_bits();
+                            assert_eq!(all[kk][l].to_bits(), want, "{case} i={i} j={j} kk={kk}");
+                            assert_eq!(logits[0][l].to_bits(), want, "{case} i={i} j={j} kk={kk}");
+                        }
+                    }
+                }
+            }
+        }
+        for m_target in [Some(3.0 * n as f64), None] {
+            let (want_stats, want_edges) = scalar_reference(&plan, &s, m_target, seed);
+            for threads in [1, 3] {
+                let case = format!("{case} target={m_target:?} threads={threads}");
+                if n >= 2 {
+                    let stats = par::with_threads(threads, || {
+                        plan.row_stats(&alpha, &theta, m_target.is_some())
+                    });
+                    assert_eq!(stat_bits(&stats), stat_bits(&want_stats), "{case}");
+                }
+                let got = par::with_threads(threads, || plan.generate_edges(&s, m_target, seed));
+                assert_eq!(got, want_edges, "{case}");
+            }
+        }
+    }
+
+    /// Every `n` in `0..=40`: a single block, ragged tails, and row `i`
+    /// inside the padded block.
+    #[test]
+    fn lane_kernel_matches_scalar_oracle_at_every_small_n() {
+        for n in 0..=40 {
+            let k = 1 + n % 4;
+            let h = 1 + (n * 7) % 40;
+            assert_kernel_matches_oracle(n, k, h, 1 + n % 9, n as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lane_kernel_matches_scalar_oracle(
+            n in 0usize..41,
+            k in 1usize..5,
+            h in 1usize..41,
+            d_s in 1usize..9,
+            seed in 0u64..1_000_000,
+        ) {
+            assert_kernel_matches_oracle(n, k, h, d_s, seed);
+        }
+    }
 
     fn toy_snapshot() -> Snapshot {
         Snapshot::new(6, vec![(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 3)], Matrix::zeros(6, 2))

@@ -108,15 +108,29 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
+    par_map_collect_with(n, min_per_thread, || (), |_, i| f(i))
+}
+
+/// [`par_map_collect`] with per-worker scratch: `init` runs once per
+/// contiguous range, and `f` receives that range's scratch for every index
+/// in it. Results must not depend on what earlier indices left in the
+/// scratch, or the thread count would change them.
+pub fn par_map_collect_with<S, T, I, F>(n: usize, min_per_thread: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send + Default + Clone,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let mut out = vec![T::default(); n];
     {
         let slots = SendPtr(out.as_mut_ptr());
         par_ranges(n, min_per_thread, |range| {
             let slots = &slots;
+            let mut scratch = init();
             for i in range {
                 // SAFETY: ranges are disjoint, so each slot is written by
                 // exactly one thread; the Vec outlives the scope.
-                unsafe { *slots.0.add(i) = f(i) };
+                unsafe { *slots.0.add(i) = f(&mut scratch, i) };
             }
         });
     }
@@ -248,6 +262,16 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i * 3);
         }
+    }
+
+    #[test]
+    fn par_map_collect_with_builds_one_scratch_per_range() {
+        let inits = AtomicUsize::new(0);
+        let v = with_threads(3, || {
+            par_map_collect_with(100, 1, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i + 1)
+        });
+        assert_eq!(v, (1..=100).collect::<Vec<_>>());
+        assert_eq!(inits.load(Ordering::Relaxed), 3);
     }
 
     #[test]

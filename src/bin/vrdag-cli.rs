@@ -43,7 +43,9 @@ fn parse_kv(args: &[String]) -> HashMap<String, String> {
 /// Machine-readable serving-bench report (`batch-generate --json`): one
 /// JSON object per run, hand-rendered because the offline tree's serde
 /// derives are no-ops. Throughput, latency percentiles, and cache
-/// counters — the fields a bench-trajectory consumer plots over time.
+/// counters — the fields a bench-trajectory consumer plots over time —
+/// plus the host's core count (`available_parallelism`), so floors
+/// recorded on different hosts are not compared blindly.
 fn bench_json_report(
     stats: &ServeStats,
     jobs: usize,
@@ -62,6 +64,7 @@ fn bench_json_report(
             "  \"t\": {},\n",
             "  \"workers\": {},\n",
             "  \"intra_threads\": {},\n",
+            "  \"host_cores\": {},\n",
             "  \"total_seconds\": {:.6},\n",
             "  \"jobs_per_sec\": {:.3},\n",
             "  \"snapshots_per_sec\": {:.3},\n",
@@ -79,6 +82,7 @@ fn bench_json_report(
         t,
         stats.workers,
         intra_threads,
+        host_cores(),
         total_seconds,
         jobs as f64 / total_seconds.max(1e-9),
         stats.snapshots as f64 / total_seconds.max(1e-9),
@@ -111,6 +115,11 @@ fn bench_json_report(
         conn_scale,
         stats.max_in_flight,
     )
+}
+
+/// Cores the OS offers this process (1 when it cannot say).
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
 /// Connection-scale micro-bench for the reactor frontend: bind a
@@ -990,6 +999,21 @@ fn main() -> ExitCode {
             let (Some(fresh), Some(floor)) = (read(fresh_path), read(floor_path)) else {
                 return ExitCode::FAILURE;
             };
+            // Timing floors are only comparable between hosts with the
+            // same core count. A mismatch is reported, not failed: the
+            // gates are wide enough for a different runner.
+            let cores = |text: &str| match json_number_field(text, "host_cores") {
+                Some(c) => format!("{c}"),
+                None => "unrecorded".to_string(),
+            };
+            let (fresh_cores, floor_cores) = (cores(&fresh), cores(&floor));
+            println!("bench-check: host_cores fresh {fresh_cores}, floor {floor_cores}");
+            if fresh_cores != floor_cores {
+                println!(
+                    "bench-check: WARNING host core counts differ or are unrecorded; \
+                     the timing gates may compare different hosts"
+                );
+            }
             let field = "snapshots_per_sec";
             let (Some(fresh_v), Some(floor_v)) =
                 (json_number_field(&fresh, field), json_number_field(&floor, field))
