@@ -82,7 +82,7 @@ fn bench_json_report(
         t,
         stats.workers,
         intra_threads,
-        host_cores(),
+        std::thread::available_parallelism().map_or(1, |p| p.get()),
         total_seconds,
         jobs as f64 / total_seconds.max(1e-9),
         stats.snapshots as f64 / total_seconds.max(1e-9),
@@ -115,11 +115,6 @@ fn bench_json_report(
         conn_scale,
         stats.max_in_flight,
     )
-}
-
-/// Cores the OS offers this process (1 when it cannot say).
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
 /// Connection-scale micro-bench for the reactor frontend: bind a
@@ -1010,8 +1005,7 @@ fn main() -> ExitCode {
             println!("bench-check: host_cores fresh {fresh_cores}, floor {floor_cores}");
             if fresh_cores != floor_cores {
                 println!(
-                    "bench-check: WARNING host core counts differ or are unrecorded; \
-                     the timing gates may compare different hosts"
+                    "bench-check: WARNING host core counts differ; the timing gates compare different hosts"
                 );
             }
             let field = "snapshots_per_sec";
