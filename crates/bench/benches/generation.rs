@@ -44,14 +44,14 @@ fn bench_generation(c: &mut Criterion) {
 
 /// `DecodePlan::generate_edges` on one thread at the default decoder dims
 /// (K=3 components, hidden 32, d_s=48), calibrated to the Email edge rate,
-/// at N=95 and N=378 (Email ×0.05 and ×0.2). Weights and states are random
-/// with fixed seeds; the decode's cost depends on N and the dims, not on
-/// training.
+/// at N=95, N=378 and N=1513 (Email ×0.05, ×0.2 and ×0.8). Weights and
+/// states are random with fixed seeds; the decode's cost depends on N, the
+/// dims, and how many pairs pass B's rejection bound skips.
 fn bench_decode_plan(c: &mut Criterion) {
     let cfg = VrdagConfig::default();
     let mut group = c.benchmark_group("decode_plan");
     group.sample_size(10);
-    for scale in [0.05, 0.2] {
+    for scale in [0.05, 0.2, 0.8] {
         let graph = vrdag_datasets::generate(&vrdag_datasets::email().scaled(scale), 11);
         let n = graph.n_nodes();
         let m_target = graph.temporal_edge_count() as f64 / graph.t_len() as f64;

@@ -12,9 +12,11 @@
 //! per snapshot. The pair loop is a lane kernel: eight destination nodes
 //! `j` run side by side in vector registers, each lane repeating the
 //! scalar per-pair arithmetic exactly, so the output bytes do not depend
-//! on the vector width or the thread count. [`DecodePlan`] describes the
-//! layout and the transformations that are ruled out because they would
-//! change the bytes.
+//! on the vector width, the instruction set or the thread count. The
+//! sampling pass skips, without computing their logits, the pairs whose
+//! uniform draw lies above an exact bound on the row's edge probabilities.
+//! [`DecodePlan`] describes the layout, the bound, and the transformations
+//! that are ruled out because they would change the bytes.
 
 // Index-based loops below walk several parallel arrays in hot paths;
 // iterator zips would obscure them. (clippy::needless_range_loop)
@@ -202,8 +204,22 @@ impl MixBernoulliDecoder {
 
 /// Destination nodes evaluated together by the decode kernel: one lane
 /// per `j`. Eight `f32` lanes fill two 128-bit vector registers (the
-/// x86-64 baseline) or one 256-bit register.
+/// x86-64 baseline) or one 256-bit AVX2 register.
 const LANES: usize = 8;
+
+/// Mixture components the kernel computes per pass over one block's hidden
+/// layer (see [`block_logits`]), per instruction set. With AVX2, four
+/// 8-lane accumulators and their operands fit in the sixteen 256-bit
+/// registers. With 128-bit registers, the compiler turns wider groups into
+/// lane shuffles that cost more than they save, so the baseline copy takes
+/// one component at a time.
+const BASELINE_GROUP: usize = 1;
+const AVX2_GROUP: usize = 4;
+
+/// Pass B takes the rejection path on a row only when `τ` is below this.
+/// Above it so many draws survive that their scalar logits cost more than
+/// the lane loop.
+const MAX_REJECTION_THRESHOLD: f64 = 1.0 / 8.0;
 
 /// Decode-time snapshot of the [`MixBernoulliDecoder`] weights.
 ///
@@ -223,27 +239,66 @@ const LANES: usize = 8;
 /// zero), and row `i` of `U` and `b1` are broadcast to all eight lanes.
 /// One helper computes, for row `i` and one block of eight `j`s, the
 /// hidden layer and then each requested component's logit
-/// `o = b2[k]; o += hidden[x] · W2ᵀ[k][x]` for `x` ascending. Each lane
-/// runs exactly the per-pair scalar sequence of operations, so the output
-/// bytes are the scalar decode's bytes:
+/// `o = b2[k]; o += hidden[x] · W2ᵀ[k][x]` for `x` ascending; with AVX2 it
+/// runs up to four components' sums side by side, each its own chain. Each
+/// lane runs exactly the per-pair scalar sequence of operations, so the
+/// output bytes are the scalar decode's bytes:
 ///
 /// - every step is an elementwise IEEE-754 `f32` operation (subtract, add,
 ///   compare, multiply), correctly rounded whether it runs in a scalar or
-///   a vector register;
+///   a vector register of any width;
 /// - Rust never contracts `a * b + c` into a fused multiply-add;
 /// - each lane's sum runs over `x` in the same fixed order, and the
 ///   per-row `f64` folds (`Σ_j` of logits and of θ) run over `j` in
 ///   ascending order, skipping `j = i` and the padding lanes.
 ///
-/// Ruled out, because they would move the bytes: `mul_add`/FMA,
-/// reassociated or tree-shaped sums (including splitting the `x` loop into
-/// partial accumulators), and an approximate or vectorized `exp`. Also
-/// ruled out: `target-cpu` flags or a `.cargo/config`, which would tie the
-/// build and its bytes to one host's instruction set.
-///
 /// The sigmoid of pass A (calibration) stays in `f32` and the one of
 /// pass B in `f64`, as in the scalar decode; both call the platform `exp`
-/// once per lane.
+/// once per pair they evaluate.
+///
+/// # Instruction sets
+///
+/// On x86-64 the per-row functions of both passes also exist compiled
+/// with AVX2 enabled: `#[target_feature]` wrappers around
+/// `#[inline(always)]` bodies. `generate_edges` checks the CPU once per
+/// call and runs that copy when AVX2 is present. The attribute sits on the
+/// per-row functions because closures do not inherit target features.
+/// AVX2 only widens the same elementwise operations to 256 bits, so both
+/// copies produce the same bytes, and one binary still runs on any x86-64
+/// CPU.
+///
+/// Runtime dispatch is the only way in for wider instructions. Ruled out,
+/// because they would move the bytes: `mul_add` or any other fused
+/// multiply-add (the AVX2 copy enables `avx2` only, never `fma`),
+/// reassociated or tree-shaped sums (including splitting the `x` loop
+/// into partial accumulators), and an approximate or vectorized `exp`.
+/// Also ruled out: `target-cpu` flags or a `.cargo/config`, which would
+/// tie the build to one host's instruction set.
+///
+/// # Pass B's rejection bound
+///
+/// When pass A calibrates it computes every θ logit anyway, and it also
+/// records each row's largest θ logit `ō` per component. Pass B still
+/// draws one uniform `u` per destination, in ascending `j`. On a row whose
+/// sampled component has `ō < 0` it first compares `u` with
+///
+/// `τ = c / T₄(−ō) · (1 + 10⁻⁹)`, where `T₄(a) = 1 + a + a²/2 + a³/6 + a⁴/24`
+///
+/// and `c` is the calibration factor. For `a ≥ 0`, `T₄(a) ≤ eᵃ`, so every
+/// logit `o ≤ ō < 0` of the row has `σ(o) < eᵒ ≤ 1/T₄(−o) ≤ 1/T₄(−ō)`,
+/// and its edge probability `min(c·σ(o), 1)` is below `τ`. A draw
+/// `u ≥ τ` can therefore not make an edge, and the pair is skipped without
+/// computing its logit. The factor `1 + 10⁻⁹` covers the rounding of `exp`,
+/// the sigmoid and `T₄` in `f64`, which is a few units of 2⁻⁵³. A draw
+/// below `τ` gets the pair's logit from the scalar chain of
+/// `LaneHead::scalar_logit` (the same operations as one lane, so the same
+/// bits) and the unchanged `f64` sigmoid and comparison. The draws and
+/// every comparison that could make an edge are unchanged, so the edges
+/// are too.
+///
+/// A row keeps the lane loop when pass A did not calibrate, when `ō ≥ 0`
+/// or `ō` is NaN (a NaN logit makes an edge with probability 1), or when
+/// `τ ≥ 1/8`.
 #[derive(Clone, Debug)]
 pub struct DecodePlan {
     alpha: HeadWeights,
@@ -314,6 +369,60 @@ impl LaneHead<'_> {
             *o = [v; LANES];
         }
     }
+
+    /// The logit of component `kk` for the pair `(i, j)` as one serial
+    /// scalar chain: per `x` ascending, `v = (u_i − u_j) + b1`, the leaky
+    /// select, then `o += hidden · w`. These are the operations one lane of
+    /// [`block_logits`] performs, so the bits are the same.
+    #[inline(always)]
+    fn scalar_logit(&self, i: usize, j: usize, kk: usize, slope: f32) -> f32 {
+        let (u_i, u_j, b1) = (self.u.row(i), self.u.row(j), self.w.b1.data());
+        let mut o = self.w.b2.data()[kk];
+        for (x, &w) in self.w.w2t.row(kk).iter().enumerate() {
+            let v = u_i[x] - u_j[x] + b1[x];
+            let hx = if v > 0.0 { v } else { slope * v };
+            o += hx * w;
+        }
+        o
+    }
+}
+
+pub(crate) use isa::Isa;
+
+mod isa {
+    /// The instruction set the decode's per-row functions run with.
+    ///
+    /// A value with AVX2 is only made after the CPU reported the feature
+    /// (the field is private to this module), which is what makes running
+    /// the AVX2 copies sound.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Isa {
+        avx2: bool,
+    }
+
+    impl Isa {
+        /// The target's baseline (SSE2 on x86-64).
+        pub(crate) const BASELINE: Isa = Isa { avx2: false };
+
+        /// AVX2, if this CPU has it (`is_x86_feature_detected!("avx2")`).
+        pub(crate) fn avx2() -> Option<Isa> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Some(Isa { avx2: true });
+            }
+            None
+        }
+
+        /// The widest instruction set this CPU runs.
+        pub(crate) fn detect() -> Isa {
+            Isa::avx2().unwrap_or(Isa::BASELINE)
+        }
+
+        /// Whether this value came from a successful AVX2 check.
+        pub(crate) fn has_avx2(self) -> bool {
+            self.avx2
+        }
+    }
 }
 
 /// Per-worker scratch of one decode pass, reused across that worker's rows.
@@ -352,9 +461,10 @@ impl Scratch {
 /// The hidden layer is one flat elementwise loop over `[h][8]` arrays, and
 /// the compiler vectorizes it along memory. Written as nested loops over
 /// `x` and then the lanes, it would be vectorized across `x` instead, with
-/// strided loads, at about half the speed.
+/// strided loads, at about half the speed. The components then run in
+/// groups of up to `GROUP` ([`component_logits`]).
 #[inline(always)]
-fn block_logits(
+fn block_logits<const GROUP: usize>(
     head: &LaneHead<'_>,
     u_i: &[[f32; LANES]],
     block: usize,
@@ -370,16 +480,44 @@ fn block_logits(
         let v = ui - uj + b1;
         *hq = if v > 0.0 { v } else { slope * v };
     }
-    for (out, kk) in logits.iter_mut().zip(ks) {
-        let w = head.w.w2t.row(kk);
-        let mut o = [head.w.b2.data()[kk]; LANES];
-        for (hx, &wx) in hidden.iter().zip(w) {
+    let mut kk = ks.start;
+    while kk < ks.end {
+        let out = &mut logits[kk - ks.start..];
+        let group = (ks.end - kk).min(GROUP);
+        match group {
+            1 => component_logits::<1>(head.w, kk, hidden, out),
+            2 => component_logits::<2>(head.w, kk, hidden, out),
+            3 => component_logits::<3>(head.w, kk, hidden, out),
+            _ => component_logits::<4>(head.w, kk, hidden, out),
+        }
+        kk += group;
+    }
+}
+
+/// Logits of the `G` components from `first` on, for one lane block's
+/// hidden layer, written to `out[..G]`. The `G × 8` sums are independent
+/// chains, each over `x` ascending, so running them side by side keeps
+/// every lane's order of operations and hides the latency of each add.
+/// `G` is at most 4.
+#[inline(always)]
+fn component_logits<const G: usize>(
+    w: &HeadWeights,
+    first: usize,
+    hidden: &[[f32; LANES]],
+    out: &mut [[f32; LANES]],
+) {
+    let h = hidden.len();
+    let rows: [&[f32]; G] = std::array::from_fn(|g| &w.w2t.row(first + g)[..h]);
+    let mut o: [[f32; LANES]; G] = std::array::from_fn(|g| [w.b2.data()[first + g]; LANES]);
+    for (x, hx) in hidden.iter().enumerate() {
+        for g in 0..G {
+            let wx = rows[g][x];
             for l in 0..LANES {
-                o[l] += hx[l] * wx;
+                o[g][l] += hx[l] * wx;
             }
         }
-        *out = o;
     }
+    out[..G].copy_from_slice(&o);
 }
 
 /// Row `i`'s real destinations in lane block `block`: `(lane, j)` pairs in
@@ -389,12 +527,205 @@ fn block_targets(i: usize, block: usize, n: usize) -> impl Iterator<Item = (usiz
     (0..LANES.min(n - first)).map(move |l| (l, first + l)).filter(move |&(_, j)| j != i)
 }
 
+/// `max(m, o)`, except that a NaN, once seen, is kept (`f32::max` would
+/// drop it, and a NaN logit must disable pass B's rejection bound).
+fn max_or_nan(m: f32, o: f32) -> f32 {
+    if o <= m || m.is_nan() {
+        m
+    } else {
+        o
+    }
+}
+
+/// Pass B's edge probability for a pair with θ logit `o`: the `f64`
+/// sigmoid scaled by the calibration factor `c`, capped at 1.
+#[inline(always)]
+fn edge_probability(c: f64, o: f32) -> f64 {
+    let theta = 1.0 / (1.0 + (-o as f64).exp());
+    (c * theta).min(1.0)
+}
+
+/// Pass B's rejection threshold `τ = c / T₄(−ō) · (1 + 10⁻⁹)` for a row
+/// whose θ logits are all at most `max_logit` (see [`DecodePlan`]). It
+/// bounds the edge probabilities only when `max_logit < 0`.
+fn rejection_threshold(c: f64, max_logit: f32) -> f64 {
+    let a = -(max_logit as f64);
+    let t4 = 1.0 + a * (1.0 + a / 2.0 * (1.0 + a / 3.0 * (1.0 + a / 4.0)));
+    c / t4 * (1.0 + 1e-9)
+}
+
+/// `τ` if pass B should take the rejection path for a row whose θ logits
+/// are all at most `max_logit`: `None` when `max_logit` is not negative
+/// (NaN included) or when `τ ≥ 1/8`.
+fn rejection_bound(c: f64, max_logit: f32) -> Option<f64> {
+    (max_logit < 0.0)
+        .then(|| rejection_threshold(c, max_logit))
+        .filter(|&tau| tau < MAX_REJECTION_THRESHOLD)
+}
+
 /// Pass A's result for one row: the mixture weights α (Eq. 11) and, when
-/// calibrating, the row's expected edge mass `Σ_k α_k Σ_j θ_kj`.
+/// calibrating, the row's expected edge mass `Σ_k α_k Σ_j θ_kj` and its
+/// largest θ logit per component.
 #[derive(Default, Clone)]
 struct RowStat {
     alpha: Vec<f32>,
     expected: f64,
+    /// `max_j` of the row's θ logits per component, NaN if any is NaN;
+    /// empty when pass A does not calibrate.
+    theta_max: Vec<f32>,
+}
+
+/// Pass A: exact mixture weights per row (Eq. 11's `Σ_j`), plus — when
+/// calibrating — the expected edge mass and the θ-logit maxima per row.
+struct StatsPass<'a> {
+    alpha: &'a LaneHead<'a>,
+    theta: &'a LaneHead<'a>,
+    k: usize,
+    slope: f32,
+    calibrate: bool,
+}
+
+impl StatsPass<'_> {
+    fn run(&self, isa: Isa) -> Vec<RowStat> {
+        let (n, h) = (self.alpha.u.rows(), self.alpha.w.hidden());
+        par::par_map_collect_with(
+            n,
+            1,
+            || Scratch::new(h, self.k),
+            |sc, i| {
+                if isa.has_avx2() {
+                    // SAFETY: `isa` has AVX2 only if `is_x86_feature_detected!("avx2")`
+                    // returned true (`Isa::avx2`).
+                    #[cfg(target_arch = "x86_64")]
+                    return unsafe { self.row_avx2(sc, i) };
+                }
+                self.row::<BASELINE_GROUP>(sc, i)
+            },
+        )
+    }
+
+    /// [`StatsPass::row`] compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn row_avx2(&self, sc: &mut Scratch, i: usize) -> RowStat {
+        self.row::<AVX2_GROUP>(sc, i)
+    }
+
+    /// Row `i`'s statistics, computing up to `GROUP` components per kernel
+    /// pass.
+    #[inline(always)]
+    fn row<const GROUP: usize>(&self, sc: &mut Scratch, i: usize) -> RowStat {
+        let (n, k, slope, calibrate) = (self.alpha.u.rows(), self.k, self.slope, self.calibrate);
+        sc.sums.fill(0.0);
+        let (acc, theta_sum) = sc.sums.split_at_mut(k);
+        let mut theta_max = if calibrate { vec![f32::NEG_INFINITY; k] } else { Vec::new() };
+        self.alpha.source_row(i, &mut sc.row_alpha);
+        if calibrate {
+            self.theta.source_row(i, &mut sc.row_theta);
+        }
+        for b in 0..n.div_ceil(LANES) {
+            let (row, hidden) = (&sc.row_alpha, &mut sc.hidden);
+            block_logits::<GROUP>(self.alpha, row, b, 0..k, slope, hidden, &mut sc.logits);
+            if calibrate {
+                let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
+                block_logits::<GROUP>(self.theta, row, b, 0..k, slope, hidden, &mut sc.theta);
+            }
+            for (l, _) in block_targets(i, b, n) {
+                for kk in 0..k {
+                    acc[kk] += sc.logits[kk][l] as f64;
+                }
+                if calibrate {
+                    for kk in 0..k {
+                        let o = sc.theta[kk][l];
+                        theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                        theta_max[kk] = max_or_nan(theta_max[kk], o);
+                    }
+                }
+            }
+        }
+        // Softmax over K, exponentiating the sums in place.
+        let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for a in acc.iter_mut() {
+            *a = (*a - mx).exp();
+        }
+        let z: f64 = acc.iter().sum();
+        let alpha: Vec<f32> = acc.iter().map(|&e| (e / z) as f32).collect();
+        let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
+        RowStat { alpha, expected, theta_max }
+    }
+}
+
+/// Pass B: choose a mixture component per row and Bernoulli-sample its
+/// adjacency list (rows are independent given α — the paper's "different
+/// rows can be computed in parallel"). One uniform draw per destination,
+/// in ascending `j`.
+struct SamplePass<'a> {
+    theta: &'a LaneHead<'a>,
+    stats: &'a [RowStat],
+    /// Calibration factor on every edge probability.
+    c: f64,
+    seed: u64,
+    slope: f32,
+}
+
+impl SamplePass<'_> {
+    fn run(&self, isa: Isa) -> Vec<Vec<u32>> {
+        let (n, h) = (self.theta.u.rows(), self.theta.w.hidden());
+        par::par_map_collect_with(
+            n,
+            1,
+            || Scratch::new(h, 1),
+            |sc, i| {
+                if isa.has_avx2() {
+                    // SAFETY: `isa` has AVX2 only if `is_x86_feature_detected!("avx2")`
+                    // returned true (`Isa::avx2`).
+                    #[cfg(target_arch = "x86_64")]
+                    return unsafe { self.row_avx2(sc, i) };
+                }
+                self.row(sc, i)
+            },
+        )
+    }
+
+    /// [`SamplePass::row`] compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn row_avx2(&self, sc: &mut Scratch, i: usize) -> Vec<u32> {
+        self.row(sc, i)
+    }
+
+    /// Row `i`'s edges: the sampled component's destinations, ascending.
+    #[inline(always)]
+    fn row(&self, sc: &mut Scratch, i: usize) -> Vec<u32> {
+        let (n, c, slope) = (self.theta.u.rows(), self.c, self.slope);
+        let mut rng = StdRng::seed_from_u64(splitmix64(
+            self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ));
+        let stat = &self.stats[i];
+        let kk = sample_categorical(&stat.alpha, &mut rng);
+        let mut out = Vec::new();
+        if let Some(tau) = stat.theta_max.get(kk).and_then(|&m| rejection_bound(c, m)) {
+            // Only a draw below τ can make an edge (see `DecodePlan`).
+            for j in (0..n).filter(|&j| j != i) {
+                let u = rng.gen::<f64>();
+                if u < tau && u < edge_probability(c, self.theta.scalar_logit(i, j, kk, slope)) {
+                    out.push(j as u32);
+                }
+            }
+            return out;
+        }
+        self.theta.source_row(i, &mut sc.row_theta);
+        for b in 0..n.div_ceil(LANES) {
+            let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
+            block_logits::<1>(self.theta, row, b, kk..kk + 1, slope, hidden, &mut sc.logits);
+            for (l, j) in block_targets(i, b, n) {
+                if rng.gen::<f64>() < edge_probability(c, sc.logits[0][l]) {
+                    out.push(j as u32);
+                }
+            }
+        }
+        out
+    }
 }
 
 impl DecodePlan {
@@ -407,18 +738,26 @@ impl DecodePlan {
     /// derives its own `splitmix64` stream from the job seed and every
     /// per-row fold runs in ascending `j`, so chunk boundaries chosen by
     /// `par::num_threads()` never change the output bytes. The pairwise
-    /// arithmetic runs in the lane kernel described on [`DecodePlan`].
+    /// arithmetic runs in the lane kernel described on [`DecodePlan`],
+    /// compiled for the widest instruction set the CPU has.
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
-        let n = s.rows();
-        if n < 2 {
+        self.generate_edges_on(Isa::detect(), s, m_target, seed)
+    }
+
+    /// [`DecodePlan::generate_edges`] with the per-row functions compiled
+    /// for `isa`. Every instruction set gives the same bytes.
+    pub(crate) fn generate_edges_on(
+        &self,
+        isa: Isa,
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> Vec<(u32, u32)> {
+        if s.rows() < 2 {
             return Vec::new();
         }
-        let h = self.alpha.hidden();
-        let blocks = n.div_ceil(LANES);
-        let alpha_head = self.alpha.lanes(s);
-        let theta_head = self.theta.lanes(s);
-        let slope = self.slope;
-        let stats = self.row_stats(&alpha_head, &theta_head, m_target.is_some());
+        let (alpha, theta) = (self.alpha.lanes(s), self.theta.lanes(s));
+        let stats = self.row_stats(isa, &alpha, &theta, m_target.is_some());
 
         let c = match m_target {
             Some(target) => {
@@ -432,37 +771,8 @@ impl DecodePlan {
             None => 1.0,
         };
 
-        // Pass B: choose a mixture component per row and Bernoulli-sample
-        // its adjacency list (rows are independent given α — the paper's
-        // "different rows can be computed in parallel"). One uniform draw
-        // per destination, in ascending `j`.
-        let rows: Vec<Vec<u32>> = par::par_map_collect_with(
-            n,
-            1,
-            || Scratch::new(h, 1),
-            |sc, i| {
-                let mut rng = StdRng::seed_from_u64(splitmix64(
-                    seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-                let kk = sample_categorical(&stats[i].alpha, &mut rng);
-                theta_head.source_row(i, &mut sc.row_theta);
-                let mut out = Vec::new();
-                for b in 0..blocks {
-                    let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
-                    block_logits(&theta_head, row, b, kk..kk + 1, slope, hidden, &mut sc.logits);
-                    for (l, j) in block_targets(i, b, n) {
-                        let o = sc.logits[0][l];
-                        let theta = 1.0 / (1.0 + (-o as f64).exp());
-                        let p = (c * theta).min(1.0);
-                        if (rng.gen::<f64>()) < p {
-                            out.push(j as u32);
-                        }
-                    }
-                }
-                out
-            },
-        );
-
+        let pass = SamplePass { theta: &theta, stats: &stats, c, seed, slope: self.slope };
+        let rows = pass.run(isa);
         let mut edges = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
         for (i, dsts) in rows.into_iter().enumerate() {
             for j in dsts {
@@ -472,58 +782,15 @@ impl DecodePlan {
         edges
     }
 
-    /// Pass A: exact mixture weights per row (Eq. 11's `Σ_j`), plus — when
-    /// calibrating — the expected edge mass per row.
+    /// Pass A over every row (see [`StatsPass`]).
     fn row_stats(
         &self,
-        alpha_head: &LaneHead<'_>,
-        theta_head: &LaneHead<'_>,
+        isa: Isa,
+        alpha: &LaneHead<'_>,
+        theta: &LaneHead<'_>,
         calibrate: bool,
     ) -> Vec<RowStat> {
-        let (n, k, h, slope) = (alpha_head.u.rows(), self.k, self.alpha.hidden(), self.slope);
-        let blocks = n.div_ceil(LANES);
-        par::par_map_collect_with(
-            n,
-            1,
-            || Scratch::new(h, k),
-            |sc, i| {
-                sc.sums.fill(0.0);
-                let (acc, theta_sum) = sc.sums.split_at_mut(k);
-                alpha_head.source_row(i, &mut sc.row_alpha);
-                if calibrate {
-                    theta_head.source_row(i, &mut sc.row_theta);
-                }
-                for b in 0..blocks {
-                    let (row, hidden) = (&sc.row_alpha, &mut sc.hidden);
-                    block_logits(alpha_head, row, b, 0..k, slope, hidden, &mut sc.logits);
-                    if calibrate {
-                        let (row, hidden) = (&sc.row_theta, &mut sc.hidden);
-                        block_logits(theta_head, row, b, 0..k, slope, hidden, &mut sc.theta);
-                    }
-                    for (l, _) in block_targets(i, b, n) {
-                        for kk in 0..k {
-                            acc[kk] += sc.logits[kk][l] as f64;
-                        }
-                        if calibrate {
-                            for kk in 0..k {
-                                let o = sc.theta[kk][l];
-                                theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
-                            }
-                        }
-                    }
-                }
-                // Softmax over K, exponentiating the sums in place.
-                let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                for a in acc.iter_mut() {
-                    *a = (*a - mx).exp();
-                }
-                let z: f64 = acc.iter().sum();
-                let alpha: Vec<f32> = acc.iter().map(|&e| (e / z) as f32).collect();
-                let expected: f64 =
-                    alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-                RowStat { alpha, expected }
-            },
-        )
+        StatsPass { alpha, theta, k: self.k, slope: self.slope, calibrate }.run(isa)
     }
 }
 
@@ -638,10 +905,10 @@ mod tests {
     use rand::SeedableRng;
     use vrdag_tensor::no_grad;
 
-    /// The scalar per-pair decode the lane kernel replaced, kept verbatim
-    /// (apart from reading the plan's weights and also returning pass A's
-    /// row statistics) as the kernel's oracle: every pair's hidden layer
-    /// and logits run as serial scalar chains.
+    /// The scalar decode the lane kernel replaced, kept (apart from reading
+    /// the plan's weights and also returning pass A's row statistics) as
+    /// the kernel's oracle: every pair's logit is one serial scalar chain
+    /// (`LaneHead::scalar_logit`), and pass B evaluates every pair.
     fn scalar_reference(
         plan: &DecodePlan,
         s: &Matrix,
@@ -653,50 +920,26 @@ mod tests {
             return (Vec::new(), Vec::new());
         }
         let k = plan.k;
-        let (w2a, b1a, b2a) = (&plan.alpha.w2t.transpose(), &plan.alpha.b1, &plan.alpha.b2);
-        let (w2t, b1t, b2t) = (&plan.theta.w2t.transpose(), &plan.theta.b1, &plan.theta.b2);
-        // First-layer precompute: U = S·W1 (+ b1 at pair time).
-        let h = plan.alpha.w1.cols();
-        let ua = s.matmul(&plan.alpha.w1);
-        let ut = s.matmul(&plan.theta.w1);
+        let (alpha, theta) = (plan.alpha.lanes(s), plan.theta.lanes(s));
         let slope = plan.slope;
         let calibrate = m_target.is_some();
 
         let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
             let mut acc = vec![0.0f64; k];
             let mut theta_sum = vec![0.0f64; k];
-            let ua_i = ua.row(i);
-            let ut_i = ut.row(i);
-            let mut ha = vec![0.0f32; h];
-            let mut ht = vec![0.0f32; h];
+            let mut theta_max = if calibrate { vec![f32::NEG_INFINITY; k] } else { Vec::new() };
             for j in 0..n {
                 if j == i {
                     continue;
                 }
-                let ua_j = ua.row(j);
-                for x in 0..h {
-                    let v = ua_i[x] - ua_j[x] + b1a.data()[x];
-                    ha[x] = if v > 0.0 { v } else { slope * v };
-                }
                 for kk in 0..k {
-                    let mut o = b2a.data()[kk];
-                    for x in 0..h {
-                        o += ha[x] * w2a.get(x, kk);
-                    }
-                    acc[kk] += o as f64;
+                    acc[kk] += alpha.scalar_logit(i, j, kk, slope) as f64;
                 }
                 if calibrate {
-                    let ut_j = ut.row(j);
-                    for x in 0..h {
-                        let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                        ht[x] = if v > 0.0 { v } else { slope * v };
-                    }
                     for kk in 0..k {
-                        let mut o = b2t.data()[kk];
-                        for x in 0..h {
-                            o += ht[x] * w2t.get(x, kk);
-                        }
+                        let o = theta.scalar_logit(i, j, kk, slope);
                         theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                        theta_max[kk] = max_or_nan(theta_max[kk], o);
                     }
                 }
             }
@@ -707,7 +950,7 @@ mod tests {
             let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
             let expected: f64 =
                 alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-            RowStat { alpha, expected }
+            RowStat { alpha, expected, theta_max }
         });
 
         let c = match m_target {
@@ -726,24 +969,13 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(splitmix64(
                 seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
-            let alpha = &stats[i].alpha;
-            let kk = sample_categorical(alpha, &mut rng);
-            let ut_i = ut.row(i);
+            let kk = sample_categorical(&stats[i].alpha, &mut rng);
             let mut out = Vec::new();
-            let mut ht = vec![0.0f32; h];
             for j in 0..n {
                 if j == i {
                     continue;
                 }
-                let ut_j = ut.row(j);
-                for x in 0..h {
-                    let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                    ht[x] = if v > 0.0 { v } else { slope * v };
-                }
-                let mut o = b2t.data()[kk];
-                for x in 0..h {
-                    o += ht[x] * w2t.get(x, kk);
-                }
+                let o = theta.scalar_logit(i, j, kk, slope);
                 let theta = 1.0 / (1.0 + (-o as f64).exp());
                 let p = (c * theta).min(1.0);
                 if (rng.gen::<f64>()) < p {
@@ -762,97 +994,205 @@ mod tests {
         (stats, edges)
     }
 
-    /// One pair's logit for component `kk`, in the scalar decode's order.
-    fn scalar_logit(w: &HeadWeights, u: &Matrix, i: usize, j: usize, kk: usize, slope: f32) -> f32 {
-        let w2 = w.w2t.transpose();
-        let mut o = w.b2.data()[kk];
-        for x in 0..u.cols() {
-            let v = u.row(i)[x] - u.row(j)[x] + w.b1.data()[x];
-            let hx = if v > 0.0 { v } else { slope * v };
-            o += hx * w2.get(x, kk);
+    /// Every instruction set this CPU runs.
+    fn isas() -> Vec<Isa> {
+        std::iter::once(Isa::BASELINE).chain(Isa::avx2()).collect()
+    }
+
+    /// [`block_logits`] compiled for `isa` with its component group, as the
+    /// per-row functions compile it.
+    #[allow(clippy::too_many_arguments)]
+    fn block_logits_on(
+        isa: Isa,
+        head: &LaneHead<'_>,
+        u_i: &[[f32; LANES]],
+        block: usize,
+        ks: Range<usize>,
+        slope: f32,
+        hidden: &mut [[f32; LANES]],
+        logits: &mut [[f32; LANES]],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        fn avx2(
+            head: &LaneHead<'_>,
+            u_i: &[[f32; LANES]],
+            block: usize,
+            ks: Range<usize>,
+            slope: f32,
+            hidden: &mut [[f32; LANES]],
+            logits: &mut [[f32; LANES]],
+        ) {
+            block_logits::<AVX2_GROUP>(head, u_i, block, ks, slope, hidden, logits)
         }
-        o
+        if isa.has_avx2() {
+            // SAFETY: `isa` has AVX2 only if `is_x86_feature_detected!("avx2")`
+            // returned true (`Isa::avx2`).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { avx2(head, u_i, block, ks, slope, hidden, logits) };
+        }
+        block_logits::<BASELINE_GROUP>(head, u_i, block, ks, slope, hidden, logits)
+    }
+
+    /// An `f32`'s bits, with every NaN mapped to one pattern: NaN payloads
+    /// follow operand order, which the compiler may swap on commutative
+    /// operations, and no output byte depends on them.
+    fn bits(x: f32) -> u32 {
+        if x.is_nan() {
+            u32::MAX
+        } else {
+            x.to_bits()
+        }
     }
 
     /// Row statistics as raw bits, so a last-place rounding difference
     /// fails the comparison.
-    fn stat_bits(stats: &[RowStat]) -> Vec<(Vec<u32>, u64)> {
+    fn stat_bits(stats: &[RowStat]) -> Vec<(Vec<u32>, u64, Vec<u32>)> {
         stats
             .iter()
-            .map(|r| (r.alpha.iter().map(|a| a.to_bits()).collect(), r.expected.to_bits()))
+            .map(|r| {
+                let expected = if r.expected.is_nan() { u64::MAX } else { r.expected.to_bits() };
+                let theta_max = r.theta_max.iter().map(|&m| bits(m)).collect();
+                (r.alpha.iter().map(|&a| bits(a)).collect(), expected, theta_max)
+            })
             .collect()
     }
 
-    /// The lane kernel against the scalar decode on one decoder:
+    /// How pass B treats each (row, component) of one calibrated decode:
+    /// rejection path, `ō ≥ 0`, `ō` NaN, and `τ ≥ 1/8`.
+    #[derive(Default, Debug)]
+    struct PathCounts {
+        pruned: usize,
+        nonnegative: usize,
+        nan: usize,
+        wide: usize,
+    }
+
+    impl PathCounts {
+        fn add(&mut self, stats: &[RowStat], m_target: f64) {
+            let e_total: f64 = stats.iter().map(|r| r.expected).sum();
+            let c = if e_total > 1e-9 { (m_target / e_total).clamp(1e-4, 1e4) } else { 1.0 };
+            for &m in stats.iter().flat_map(|r| &r.theta_max) {
+                match rejection_bound(c, m) {
+                    Some(_) => self.pruned += 1,
+                    None if m.is_nan() => self.nan += 1,
+                    None if m >= 0.0 => self.nonnegative += 1,
+                    None => self.wide += 1,
+                }
+            }
+        }
+    }
+
+    /// The lane kernel against the scalar decode on one decoder, for every
+    /// instruction set this CPU runs:
     ///
     /// - every lane's logit has the scalar pair logit's bits, for all
     ///   components at once (pass A) and for one at a time (pass B);
-    /// - pass A's row statistics have the oracle's bits;
-    /// - the edge lists are equal, with and without calibration, at one
-    ///   and three threads.
+    /// - pass A's row statistics, θ-logit maxima included, have the
+    ///   oracle's bits;
+    /// - the edge lists are equal with a dense and a sparse calibration
+    ///   target and without calibration, at one and three threads. The
+    ///   oracle evaluates every pair, so this also checks that pass B's
+    ///   rejection bound never skips a pair that would have been an edge.
+    ///
+    /// With `poison`, node 0's state is NaN: every row then has NaN logits
+    /// (each pair with node 0), which must make edges and keep every row in
+    /// the lane loop.
     ///
     /// The bitwise checks matter: a last-place change to a logit almost
     /// never flips a Bernoulli draw, so equal edge lists alone would not
     /// catch a reassociated sum or a fused multiply-add.
-    fn assert_kernel_matches_oracle(n: usize, k: usize, h: usize, d_s: usize, seed: u64) {
+    fn assert_kernel_matches_oracle(
+        n: usize,
+        k: usize,
+        h: usize,
+        d_s: usize,
+        seed: u64,
+        poison: bool,
+    ) -> PathCounts {
         let mut rng = StdRng::seed_from_u64(seed);
         let slope = rng.gen_range(0.0f32..0.5);
         let mut plan = MixBernoulliDecoder::new(d_s, h, k, slope, &mut rng).plan();
         // Fresh layers have zero first-layer biases; random ones make the
-        // order of `(u_i − u_j) + b1` observable.
+        // order of `(u_i − u_j) + b1` observable, and second-layer biases
+        // up to +1 give rows with positive θ logits.
         for w in [&mut plan.alpha, &mut plan.theta] {
             w.b1 = Matrix::rand_uniform(1, h, -1.0, 1.0, &mut rng);
             w.b2 = Matrix::rand_uniform(1, k, -3.0, 1.0, &mut rng);
         }
-        let s = Matrix::rand_uniform(n, d_s, -2.0, 2.0, &mut rng);
-        let case = format!("n={n} k={k} h={h} d_s={d_s} seed={seed}");
+        let mut s = Matrix::rand_uniform(n, d_s, -2.0, 2.0, &mut rng);
+        if poison && n > 0 {
+            s.row_mut(0).fill(f32::NAN);
+        }
+        let case = format!("n={n} k={k} h={h} d_s={d_s} seed={seed} poison={poison}");
         let (alpha, theta) = (plan.alpha.lanes(&s), plan.theta.lanes(&s));
         let mut u_i = vec![[0.0; LANES]; h];
         let mut hidden = vec![[0.0; LANES]; h];
         let mut logits = vec![[0.0; LANES]; k];
-        for head in [&alpha, &theta] {
+        for (isa, head) in isas().into_iter().flat_map(|isa| [(isa, &alpha), (isa, &theta)]) {
             for i in 0..n {
                 head.source_row(i, &mut u_i);
                 for b in 0..n.div_ceil(LANES) {
-                    block_logits(head, &u_i, b, 0..k, slope, &mut hidden, &mut logits);
+                    block_logits_on(isa, head, &u_i, b, 0..k, slope, &mut hidden, &mut logits);
                     let all = logits.clone();
                     for kk in 0..k {
-                        block_logits(head, &u_i, b, kk..kk + 1, slope, &mut hidden, &mut logits);
+                        let ks = kk..kk + 1;
+                        block_logits_on(isa, head, &u_i, b, ks, slope, &mut hidden, &mut logits);
                         for (l, j) in (0..LANES).map(|l| (l, b * LANES + l)).filter(|&(_, j)| j < n)
                         {
-                            let want = scalar_logit(head.w, &head.u, i, j, kk, slope).to_bits();
-                            assert_eq!(all[kk][l].to_bits(), want, "{case} i={i} j={j} kk={kk}");
-                            assert_eq!(logits[0][l].to_bits(), want, "{case} i={i} j={j} kk={kk}");
+                            let want = bits(head.scalar_logit(i, j, kk, slope));
+                            let at = format!("{case} {isa:?} i={i} j={j} kk={kk}");
+                            assert_eq!(bits(all[kk][l]), want, "{at}");
+                            assert_eq!(bits(logits[0][l]), want, "{at}");
                         }
                     }
                 }
             }
         }
-        for m_target in [Some(3.0 * n as f64), None] {
+        let mut counts = PathCounts::default();
+        let sparse = 0.02 * (n * n.saturating_sub(1)) as f64;
+        for m_target in [Some(3.0 * n as f64), Some(sparse), None] {
             let (want_stats, want_edges) = scalar_reference(&plan, &s, m_target, seed);
-            for threads in [1, 3] {
-                let case = format!("{case} target={m_target:?} threads={threads}");
+            if let Some(target) = m_target {
+                counts.add(&want_stats, target);
+            }
+            for (isa, threads) in isas().into_iter().flat_map(|isa| [(isa, 1), (isa, 3)]) {
+                let case = format!("{case} target={m_target:?} {isa:?} threads={threads}");
                 if n >= 2 {
                     let stats = par::with_threads(threads, || {
-                        plan.row_stats(&alpha, &theta, m_target.is_some())
+                        plan.row_stats(isa, &alpha, &theta, m_target.is_some())
                     });
                     assert_eq!(stat_bits(&stats), stat_bits(&want_stats), "{case}");
                 }
-                let got = par::with_threads(threads, || plan.generate_edges(&s, m_target, seed));
+                let got =
+                    par::with_threads(threads, || plan.generate_edges_on(isa, &s, m_target, seed));
                 assert_eq!(got, want_edges, "{case}");
             }
         }
+        counts
     }
 
-    /// Every `n` in `0..=40`: a single block, ragged tails, and row `i`
-    /// inside the padded block.
+    /// Every `n` in `0..=40`: a single block, ragged tails, row `i` inside
+    /// the padded block, and up to six components (two AVX2 groups). Across
+    /// the sweep pass B sees every kind of row: pruned, `ō ≥ 0`, `ō` NaN and
+    /// `τ ≥ 1/8`.
     #[test]
     fn lane_kernel_matches_scalar_oracle_at_every_small_n() {
+        let mut total = PathCounts::default();
         for n in 0..=40 {
-            let k = 1 + n % 4;
+            let k = 1 + n % 6;
             let h = 1 + (n * 7) % 40;
-            assert_kernel_matches_oracle(n, k, h, 1 + n % 9, n as u64);
+            let counts = assert_kernel_matches_oracle(n, k, h, 1 + n % 9, n as u64, n % 5 == 4);
+            total.pruned += counts.pruned;
+            total.nonnegative += counts.nonnegative;
+            total.nan += counts.nan;
+            total.wide += counts.wide;
         }
+        assert!(
+            total.pruned > 0 && total.nonnegative > 0 && total.nan > 0 && total.wide > 0,
+            "{total:?}"
+        );
     }
 
     proptest! {
@@ -861,13 +1201,33 @@ mod tests {
         #[test]
         fn lane_kernel_matches_scalar_oracle(
             n in 0usize..41,
-            k in 1usize..5,
+            k in 1usize..7,
             h in 1usize..41,
             d_s in 1usize..9,
             seed in 0u64..1_000_000,
+            poison in 0u8..4,
         ) {
-            assert_kernel_matches_oracle(n, k, h, d_s, seed);
+            assert_kernel_matches_oracle(n, k, h, d_s, seed, poison == 0);
         }
+    }
+
+    /// `τ` is at least the edge probability of a logit equal to the bound
+    /// itself (the tightest case), for f32 logits across `[−88, 0)` at a
+    /// fixed bit-pattern stride and calibration factors across the clamp
+    /// range.
+    #[test]
+    fn rejection_threshold_bounds_the_edge_probability() {
+        let (first, last) = ((-0.0f32).to_bits() + 1, (-88.0f32).to_bits());
+        let logits = (first..last).step_by(1021).chain([last]).map(f32::from_bits);
+        let mut checked = 0;
+        for o in logits {
+            for c in [1e-4, 1e-2, 1.0, 1e2, 1e4] {
+                let p = (c * (1.0 / (1.0 + (-o as f64).exp()))).min(1.0);
+                assert!(rejection_threshold(c, o) >= p, "c={c} o={o:e}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 5_000_000, "{checked}");
     }
 
     fn toy_snapshot() -> Snapshot {
